@@ -27,7 +27,7 @@ pub const USAGE: &str = "\
 tps — out-of-core edge partitioning (2PS-L, ICDE 2022) and friends
 
 USAGE:
-  tps partition --input FILE -k N [options]   partition an edge list
+  tps partition --input FILE --k N [options]  partition an edge list
   tps dist coordinator --input FILE --k N --workers N [options]
                                               distributed partition (coordinator)
   tps dist worker --connect HOST:PORT         distributed partition (worker)
@@ -45,7 +45,7 @@ partition options:
   --input FILE        binary (.bel / TPSBEL2) or text edge list
   --format bel|text   input format (default: by file extension)
   --reader NAME       buffered | mmap | prefetch   (default: buffered)
-  --k N               number of partitions (required; also -k via --k)
+  --k N               number of partitions (required)
   --algorithm NAME    2ps-l | 2ps-hdrf | hdrf | dbh | grid | random | greedy |
                       adwise | ne | sne | dne | hep-1 | hep-10 | hep-100 |
                       multilevel            (default: 2ps-l)
@@ -841,11 +841,7 @@ fn dist_coordinator(args: &[String]) -> i32 {
                 path: abs.to_string_lossy().into_owned(),
                 reader,
             };
-            let base = match config.strategy {
-                tps_core::two_phase::RemainingStrategy::TwoChoice => "2PS-L",
-                tps_core::two_phase::RemainingStrategy::Hdrf(_) => "2PS-HDRF",
-            };
-            let name = format!("{base}×{workers}w");
+            let name = format!("{}×{workers}w", config.algorithm_name());
             let mut transports = Some(transports);
             let mut supply = CliSupply {
                 listener: &listener,

@@ -6,7 +6,7 @@
 //! graph data to storage").
 //!
 //! ```text
-//! tps partition --input graph.bel -k 32 [--algorithm 2ps-l] [--alpha 1.05]
+//! tps partition --input graph.bel --k 32 [--algorithm 2ps-l] [--alpha 1.05]
 //!               [--passes 1] [--threads N|auto|serial] [--out DIR]
 //!               [--format bel|text] [--reader buffered|mmap|prefetch]
 //!               [--spill-budget-mb N]

@@ -23,6 +23,44 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn usage_banner_partition_example_runs() {
+    // The banner's own `tps partition` line, run verbatim with FILE and N
+    // filled in: documented flags must be flags the parser accepts.
+    let out = tps().arg("help").output().unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    let line = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("tps partition"))
+        .expect("usage banner has a partition line");
+    let dir = tmpdir("banner");
+    let bel = dir.join("g.bel");
+    let out = tps()
+        .args(["generate", "--dataset", "ok", "--scale", "0.01", "--out"])
+        .arg(&bel)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let args: Vec<String> = line
+        .split_whitespace()
+        .skip(1)
+        .take_while(|w| *w != "[options]")
+        .map(|w| match w {
+            "FILE" => bel.to_string_lossy().into_owned(),
+            "N" => "4".to_string(),
+            _ => w.to_string(),
+        })
+        .collect();
+    let out = tps().args(&args).output().unwrap();
+    assert!(
+        out.status.success(),
+        "`tps {}` failed: {}",
+        args.join(" "),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn unknown_command_fails() {
     let out = tps().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());

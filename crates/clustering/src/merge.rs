@@ -125,7 +125,7 @@ mod tests {
     use tps_graph::stream::InMemoryGraph;
     use tps_graph::types::Edge;
 
-    use crate::streaming::clustering_pass;
+    use crate::streaming::clustering_pass_on;
 
     fn degrees_of(g: &InMemoryGraph) -> DegreeTable {
         DegreeTable::compute(&mut g.stream(), g.num_vertices()).unwrap()
@@ -139,7 +139,7 @@ mod tests {
             .map(|(a, b)| {
                 let mut s = g.open_range(a, b).unwrap();
                 let mut c = Clustering::empty(g.num_vertices());
-                clustering_pass(&mut s, &degrees, cap, &mut c).unwrap();
+                clustering_pass_on(&mut s, &degrees, cap, &mut c).unwrap();
                 c
             })
             .collect();
@@ -180,7 +180,7 @@ mod tests {
         let g = test_graph();
         let degrees = degrees_of(&g);
         let mut serial = Clustering::empty(g.num_vertices());
-        clustering_pass(&mut g.stream(), &degrees, 40, &mut serial).unwrap();
+        clustering_pass_on(&mut g.stream(), &degrees, 40, &mut serial).unwrap();
         let merged = merge_clusterings(std::slice::from_ref(&serial), &degrees);
         for v in 0..g.num_vertices() as u32 {
             assert_eq!(merged.raw_cluster_of(v), serial.raw_cluster_of(v));

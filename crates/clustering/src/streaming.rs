@@ -101,7 +101,7 @@ pub fn cluster_stream<S: EdgeStream + ?Sized>(
     let mut clustering = Clustering::empty(degrees.len() as u64);
     let max_vol = config.cap.resolve(degrees.total_volume());
     for _ in 0..config.passes {
-        clustering_pass(stream, degrees, max_vol, &mut clustering)?;
+        clustering_pass_on(stream, degrees, max_vol, &mut clustering)?;
     }
     Ok(clustering)
 }
@@ -109,20 +109,12 @@ pub fn cluster_stream<S: EdgeStream + ?Sized>(
 /// One streaming pass (Algorithm 1 lines 9–22), reusing existing state.
 /// Exposed so callers can interleave passes with their own instrumentation
 /// (the re-streaming experiment times each pass separately).
-pub fn clustering_pass<S: EdgeStream + ?Sized>(
-    stream: &mut S,
-    degrees: &DegreeTable,
-    max_vol: u64,
-    clustering: &mut Clustering,
-) -> io::Result<()> {
-    clustering_pass_on(stream, degrees, max_vol, clustering)
-}
-
-/// [`clustering_pass`], generic over the cluster-state storage: the same
-/// decision sequence runs against the flat in-memory [`Clustering`] or the
-/// budget-bounded [`crate::paged::PagedClustering`], so the two are
-/// bit-identical by construction (every read and write goes through the
-/// same [`ClusterTable`] calls in the same order).
+///
+/// Generic over the cluster-state storage: the same decision sequence runs
+/// against the flat in-memory [`Clustering`] or the budget-bounded
+/// [`crate::paged::PagedClustering`], so the two are bit-identical by
+/// construction (every read and write goes through the same
+/// [`ClusterTable`] calls in the same order).
 pub fn clustering_pass_on<S: EdgeStream + ?Sized, T: ClusterTable>(
     stream: &mut S,
     degrees: &DegreeTable,

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::io;
 
 use tps_clustering::model::{Clustering, NO_CLUSTER};
-use tps_clustering::streaming::{clustering_pass, VolumeCap};
+use tps_clustering::streaming::{clustering_pass_on, VolumeCap};
 use tps_graph::degree::DegreeTable;
 use tps_graph::hash::seeded_hash_to_partition;
 use tps_graph::stream::{discover_info, EdgeStream};
@@ -140,7 +140,7 @@ impl IncrementalTwoPhase {
             .resolve(degrees_table.total_volume().max(1));
         let mut clustering = Clustering::empty(info.num_vertices);
         for _ in 0..config.clustering_passes {
-            clustering_pass(stream, &degrees_table, volume_cap, &mut clustering)?;
+            clustering_pass_on(stream, &degrees_table, volume_cap, &mut clustering)?;
         }
         let placement = ClusterPlacement::sorted_list_schedule(&clustering, k);
 
@@ -460,7 +460,7 @@ impl IncrementalTwoPhase {
             .resolve(degrees_table.total_volume().max(1));
         let mut clustering = Clustering::empty(num_vertices);
         for _ in 0..config.clustering_passes {
-            clustering_pass(&mut stream, &degrees_table, volume_cap, &mut clustering)?;
+            clustering_pass_on(&mut stream, &degrees_table, volume_cap, &mut clustering)?;
         }
         let placement = ClusterPlacement::sorted_list_schedule(&clustering, k);
         let cap = ((alpha * num_edges as f64 / k as f64).floor() as u64)

@@ -2,12 +2,9 @@
 //! mode (serial, chunk-parallel, distributed coordinator front-ends, the
 //! serving daemon) uses to describe a partitioning run.
 //!
-//! Historically the workspace grew four ad-hoc entry points
-//! (`run_partitioner`, `run_partitioner_with_sink`, `run_partitioner_auto`,
-//! `run_parallel_partitioner`) plus per-subcommand flag plumbing in the CLI.
-//! `JobSpec` replaces them: callers state *what* to run (input, algorithm,
-//! `k`/`α`) and *how* (threads, reader backend, spill budget, trace) and the
-//! spec resolves the execution plan itself.
+//! Callers state *what* to run (input, algorithm, `k`/`α`) and *how*
+//! (threads, reader backend, spill budget, trace) and the spec resolves the
+//! execution plan itself.
 //!
 //! ```
 //! use tps_core::job::JobSpec;
@@ -632,6 +629,30 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(out.name, "2PS-L");
+        assert_eq!(out.metrics.num_edges, g.num_edges());
+    }
+
+    #[test]
+    fn stream_job_discovers_vertex_count() {
+        // No `.num_vertices`: the spec finds it with a discovery pass.
+        let g = Dataset::Ok.generate_scaled(0.01);
+        let mut stream: Box<dyn EdgeStream> = Box::new(g.stream());
+        let out = JobSpec::stream(&mut stream).k(4).run().unwrap();
+        assert_eq!(out.metrics.num_edges, g.num_edges());
+    }
+
+    #[test]
+    fn extra_sink_sees_every_assignment() {
+        let g = Dataset::Ok.generate_scaled(0.01);
+        let mut extra = VecSink::new();
+        let mut stream = g.stream();
+        let out = JobSpec::stream(&mut stream)
+            .k(4)
+            .num_vertices(g.num_vertices())
+            .extra_sink(&mut extra)
+            .run()
+            .unwrap();
+        assert_eq!(extra.assignments().len() as u64, g.num_edges());
         assert_eq!(out.metrics.num_edges, g.num_edges());
     }
 

@@ -30,10 +30,8 @@
 //!   load reservation — see the module docs for the scheme and its
 //!   determinism/quality bounds).
 //! * [`job`] — the unified [`JobSpec`] builder describing a run (input,
-//!   engine, execution knobs) for every front-end; the four historical
-//!   `run_partitioner*` entry points in [`runner`] are deprecated shims
-//!   over it.
-//! * [`runner`] — [`RunOutcome`] plus the deprecated convenience shims.
+//!   engine, execution knobs) for every front-end.
+//! * [`runner`] — [`RunOutcome`], what one run produces.
 //! * [`incremental`] — the dynamic-graph transformation (§VI): retained
 //!   phase state, O(1) insert/remove, snapshot/restore — the write path of
 //!   the `tps serve` daemon.

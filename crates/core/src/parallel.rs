@@ -117,7 +117,7 @@ use std::sync::Arc;
 
 use tps_clustering::merge::merge_clusterings;
 use tps_clustering::model::Clustering;
-use tps_clustering::streaming::{clustering_pass, VolumeCap};
+use tps_clustering::streaming::{clustering_pass_on, VolumeCap};
 use tps_graph::degree::DegreeTable;
 use tps_graph::ranged::{split_even, RangedEdgeSource};
 use tps_graph::stream::EdgeStream;
@@ -129,7 +129,7 @@ use crate::balance::{AtomicLoads, LoadTracker, PartitionLoads};
 use crate::partitioner::{PartitionParams, RunReport};
 use crate::sink::{AssignmentSink, MemorySpoolFactory, SpoolFactory};
 use crate::two_phase::mapping::ClusterPlacement;
-use crate::two_phase::{AssignCounters, EdgeAssigner, MappingStrategy, TwoPhaseConfig};
+use crate::two_phase::{AssignCounters, EdgeAssigner, PlanView, TwoPhaseConfig};
 
 /// A shard's view of the per-partition loads: deterministic quota slice
 /// locally, optional atomic commit ledger globally (see module docs).
@@ -278,7 +278,7 @@ pub fn shard_clustering(
     let mut s = source.open_range(range.0, range.1)?;
     let mut c = Clustering::empty(num_vertices);
     for _ in 0..config.clustering_passes {
-        clustering_pass(&mut s, degrees, volume_cap, &mut c)?;
+        clustering_pass_on(&mut s, degrees, volume_cap, &mut c)?;
     }
     if compact_ids {
         c.compact_ids();
@@ -293,10 +293,7 @@ pub fn cluster_placement(
     clustering: &Clustering,
     k: u32,
 ) -> ClusterPlacement {
-    match config.mapping {
-        MappingStrategy::SortedGraham => ClusterPlacement::sorted_list_schedule(clustering, k),
-        MappingStrategy::UnsortedFirstFit => ClusterPlacement::unsorted_schedule(clustering, k),
-    }
+    ClusterPlacement::schedule(clustering, k, config.mapping)
 }
 
 /// Phase 2 for one shard: the pre-partitioning and scoring subpasses with
@@ -313,7 +310,6 @@ pub fn cluster_placement(
 /// [`freeze_replication`](ShardAssigner::freeze_replication) — the shared
 /// matrix already holds the union of every worker's pre-partition writes.
 pub struct ShardAssigner<'a, R: ReplicaSet = ReplicationMatrix> {
-    config: TwoPhaseConfig,
     inner: EdgeAssigner<'a, ShardLoads<'a>, R>,
 }
 
@@ -327,15 +323,13 @@ impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
         replicas: R,
         loads: ShardLoads<'a>,
     ) -> Self {
-        let inner = EdgeAssigner::new(
-            degrees,
+        let view = PlanView {
             clustering,
             placement,
-            replicas,
-            loads,
-            config.hash_seed,
-        );
-        ShardAssigner { config, inner }
+        };
+        ShardAssigner {
+            inner: EdgeAssigner::new(degrees, view, replicas, loads, config),
+        }
     }
 
     /// The pre-partitioning subpass over this shard's edges.
@@ -344,11 +338,7 @@ impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
         stream: &mut dyn EdgeStream,
         sink: &mut dyn AssignmentSink,
     ) -> io::Result<()> {
-        stream.reset()?;
-        while let Some(edge) = stream.next_edge()? {
-            self.inner.prepartition_edge(edge, sink)?;
-        }
-        Ok(())
+        self.inner.prepartition_pass(stream, sink)
     }
 
     /// The scoring subpass over this shard's edges (skipping edges the
@@ -358,15 +348,7 @@ impl<'a, R: ReplicaSet> ShardAssigner<'a, R> {
         stream: &mut dyn EdgeStream,
         sink: &mut dyn AssignmentSink,
     ) -> io::Result<()> {
-        stream.reset()?;
-        while let Some(edge) = stream.next_edge()? {
-            if self.config.prepartitioning && self.inner.prepartition_target(edge).is_some() {
-                continue; // handled by the pre-partitioning subpass
-            }
-            self.inner
-                .assign_remaining(edge, self.config.strategy, sink)?;
-        }
-        Ok(())
+        self.inner.remaining_pass(stream, sink)
     }
 
     /// This shard's phase-2 counters.
@@ -450,14 +432,7 @@ impl ParallelRunner {
     /// A runner executing `config` on `threads` worker threads.
     /// `threads = 0` selects [`std::thread::available_parallelism`].
     pub fn new(config: TwoPhaseConfig, threads: usize) -> Self {
-        assert!(
-            config.clustering_passes >= 1,
-            "need at least one clustering pass"
-        );
-        assert!(
-            config.volume_cap_factor > 0.0,
-            "volume cap factor must be positive"
-        );
+        config.validate();
         let threads = if threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -483,12 +458,6 @@ impl ParallelRunner {
         self.threads
     }
 
-    /// The configured spool factory, if one replaced the in-memory default
-    /// (lets `JobSpec` shims rebuild an equivalent run).
-    pub fn spool_factory_handle(&self) -> Option<Arc<dyn SpoolFactory + Send + Sync>> {
-        self.spool_factory.clone()
-    }
-
     /// The two-phase configuration in use.
     pub fn config(&self) -> &TwoPhaseConfig {
         &self.config
@@ -496,11 +465,7 @@ impl ParallelRunner {
 
     /// Algorithm name, matching the serial partitioner's with a thread tag.
     pub fn name(&self) -> String {
-        let base = match self.config.strategy {
-            crate::two_phase::RemainingStrategy::TwoChoice => "2PS-L",
-            crate::two_phase::RemainingStrategy::Hdrf(_) => "2PS-HDRF",
-        };
-        format!("{base}×{}", self.threads)
+        format!("{}×{}", self.config.algorithm_name(), self.threads)
     }
 
     /// Partition `source` into `params.k` parts, emitting every assignment
@@ -615,13 +580,25 @@ impl ParallelRunner {
         debug_assert_eq!(shared.total(), info.num_edges);
         report.count("threads", threads as u64);
         record_phase2_counters(&mut report, &counters, overshoot);
-        record_clustering_counters(&mut report, &clustering, cap);
+        record_clustering_counters(
+            &mut report,
+            clustering.num_nonempty_clusters() as u64,
+            clustering.max_volume(),
+            cap,
+        );
         Ok(report)
     }
 }
 
-/// Append the shared phase-2 counter block to `report` (one spelling for
-/// the parallel and distributed runners).
+static CORE_ASSIGN_PREPARTITIONED: tps_obs::Counter =
+    tps_obs::Counter::new("core.assign.prepartitioned");
+static CORE_ASSIGN_REMAINING: tps_obs::Counter = tps_obs::Counter::new("core.assign.remaining");
+static CORE_ASSIGN_FALLBACK: tps_obs::Counter = tps_obs::Counter::new("core.assign.fallback");
+static CORE_CAP_OVERSHOOT: tps_obs::Counter = tps_obs::Counter::new("core.cap.overshoot");
+static CLUSTERING_CLUSTERS: tps_obs::Counter = tps_obs::Counter::new("clustering.clusters");
+
+/// Append the phase-2 counter block to `report` and publish its obs
+/// counters (one spelling for the serial, parallel and distributed runners).
 pub fn record_phase2_counters(report: &mut RunReport, counters: &AssignCounters, overshoot: u64) {
     report.count("prepartitioned", counters.prepartitioned);
     report.count("prepartition_overflow", counters.prepartition_overflow);
@@ -629,16 +606,25 @@ pub fn record_phase2_counters(report: &mut RunReport, counters: &AssignCounters,
     report.count("fallback_hash", counters.fallback_hash);
     report.count("fallback_least_loaded", counters.fallback_least_loaded);
     report.count("cap_overshoot", overshoot);
+    CORE_ASSIGN_PREPARTITIONED.add(counters.prepartitioned);
+    CORE_ASSIGN_REMAINING.add(counters.remaining);
+    CORE_ASSIGN_FALLBACK.add(counters.fallback_hash + counters.fallback_least_loaded);
     CORE_CAP_OVERSHOOT.add(overshoot);
 }
 
-static CORE_CAP_OVERSHOOT: tps_obs::Counter = tps_obs::Counter::new("core.cap.overshoot");
-
-/// Append the shared clustering counter block to `report`.
-pub fn record_clustering_counters(report: &mut RunReport, clustering: &Clustering, cap: u64) {
-    report.count("clusters", clustering.num_nonempty_clusters() as u64);
+/// Append the clustering counter block to `report` and publish its obs
+/// counter: `clusters` live clusters, the largest of volume
+/// `max_cluster_volume`, under the volume cap `cap`.
+pub fn record_clustering_counters(
+    report: &mut RunReport,
+    clusters: u64,
+    max_cluster_volume: u64,
+    cap: u64,
+) {
+    report.count("clusters", clusters);
     report.count("cluster_volume_cap", cap);
-    report.count("max_cluster_volume", clustering.max_volume());
+    report.count("max_cluster_volume", max_cluster_volume);
+    CLUSTERING_CLUSTERS.add(clusters);
 }
 
 /// The cap-overshoot total a ledger-free (distributed) run reconstructs

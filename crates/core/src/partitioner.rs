@@ -11,7 +11,7 @@
 use std::io;
 
 use tps_graph::stream::EdgeStream;
-use tps_metrics::timer::PhaseTimer;
+use tps_obs::PhaseTimer;
 
 use crate::sink::AssignmentSink;
 

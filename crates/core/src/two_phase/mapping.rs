@@ -13,8 +13,11 @@ use std::collections::BinaryHeap;
 use tps_clustering::model::Clustering;
 use tps_graph::types::{ClusterId, PartitionId};
 
-/// The cluster→partition map plus the per-partition volume sums.
-#[derive(Clone, Debug)]
+use super::MappingStrategy;
+
+/// The cluster→partition map plus the per-partition volume sums (empty by
+/// default: no cluster placed yet).
+#[derive(Clone, Debug, Default)]
 pub struct ClusterPlacement {
     /// Cluster id → partition id. Clusters with zero volume still get a
     /// (irrelevant but valid) partition.
@@ -27,52 +30,23 @@ impl ClusterPlacement {
     /// Graham sorted-list scheduling of `clustering`'s clusters onto `k`
     /// partitions.
     pub fn sorted_list_schedule(clustering: &Clustering, k: u32) -> Self {
-        assert!(k > 0, "k must be positive");
-        let volumes = clustering.volumes();
-        // Sort cluster ids by decreasing volume (stable on id for ties →
-        // deterministic).
-        let mut order: Vec<ClusterId> = (0..volumes.len() as u32).collect();
-        order.sort_by_key(|&c| (Reverse(volumes[c as usize]), c));
-
-        // Min-heap of (load, partition id): pop = least loaded, lowest id on
-        // ties. `O(C log k)`.
-        let mut heap: BinaryHeap<Reverse<(u64, PartitionId)>> =
-            (0..k).map(|p| Reverse((0u64, p))).collect();
-        let mut c2p = vec![0 as PartitionId; volumes.len()];
-        let mut partition_volumes = vec![0u64; k as usize];
-        for c in order {
-            let Reverse((load, p)) = heap.pop().expect("heap holds k entries");
-            c2p[c as usize] = p;
-            let new_load = load + volumes[c as usize];
-            partition_volumes[p as usize] = new_load;
-            heap.push(Reverse((new_load, p)));
-        }
-        ClusterPlacement {
-            c2p,
-            partition_volumes,
-        }
+        Self::schedule(clustering, k, MappingStrategy::SortedGraham)
     }
 
     /// First-fit placement in cluster-id order (no sorting) — ablation
     /// baseline showing what Graham's sorting buys.
     pub fn unsorted_schedule(clustering: &Clustering, k: u32) -> Self {
-        assert!(k > 0, "k must be positive");
-        let volumes = clustering.volumes();
-        let mut heap: BinaryHeap<Reverse<(u64, PartitionId)>> =
-            (0..k).map(|p| Reverse((0u64, p))).collect();
-        let mut c2p = vec![0 as PartitionId; volumes.len()];
-        let mut partition_volumes = vec![0u64; k as usize];
-        for c in 0..volumes.len() {
-            let Reverse((load, p)) = heap.pop().expect("heap holds k entries");
-            c2p[c] = p;
-            let new_load = load + volumes[c];
-            partition_volumes[p as usize] = new_load;
-            heap.push(Reverse((new_load, p)));
-        }
-        ClusterPlacement {
-            c2p,
-            partition_volumes,
-        }
+        Self::schedule(clustering, k, MappingStrategy::UnsortedFirstFit)
+    }
+
+    /// Place every cluster id of `clustering` (zero-volume ones included,
+    /// so the map is total) onto `k` partitions with `mapping`.
+    pub(crate) fn schedule(clustering: &Clustering, k: u32, mapping: MappingStrategy) -> Self {
+        let mut clusters: Vec<(ClusterId, u64)> =
+            (0..).zip(clustering.volumes().iter().copied()).collect();
+        let mut c2p = vec![0 as PartitionId; clusters.len()];
+        schedule_live_clusters(&mut clusters, k, mapping, |c, p| c2p[c as usize] = p);
+        Self::from_c2p(c2p, clustering, k)
     }
 
     /// Reconstruct a placement from a shipped cluster→partition map (the
@@ -133,39 +107,45 @@ impl ClusterPlacement {
     }
 }
 
-/// Schedule *live* (volume > 0) clusters onto `k` partitions without
-/// materialising a full cluster→partition array — the out-of-core mapping
-/// step, which writes each placement through `place` (into the paged `c2p`
-/// array) as it is decided.
+/// Schedule clusters onto `k` partitions, handing each placement to
+/// `place` as it is decided — the one Graham heap loop. The flat schedulers
+/// collect the placements into a [`ClusterPlacement`]; the out-of-core
+/// mapping step writes them straight into the paged `c2p` array, passing
+/// only the *live* (volume > 0) clusters so no full cluster→partition
+/// array is ever materialised.
 ///
-/// `live` must list the live clusters in ascending id order (the paged
-/// volume scan's natural order); `sorted` selects Graham LPT
-/// ([`ClusterPlacement::sorted_list_schedule`]) vs. first-fit id order
-/// ([`ClusterPlacement::unsorted_schedule`]).
+/// `clusters` must list `(id, volume)` pairs in ascending id order;
+/// `mapping` selects Graham LPT (sort by decreasing volume, ties by id)
+/// vs. first-fit id order.
 ///
-/// Bit-identity with the full-array schedulers: zero-volume clusters
-/// cannot change any live cluster's placement. Under LPT they sort after
-/// every live cluster, so by the time one is placed all live placements
-/// are already fixed; under first-fit a zero-volume cluster pops the
-/// least-loaded partition and pushes the same load back, leaving the
-/// heap's (load, partition) multiset — the only state later pops observe —
-/// unchanged. Since only live clusters are ever queried by phase 2 (a
-/// stream vertex has degree ≥ 1, so its cluster has volume ≥ 1), skipping
-/// the zero-volume ids is output-invariant.
+/// Skipping zero-volume clusters leaves every live cluster's placement
+/// unchanged. Under LPT they sort after every live cluster, so by the time
+/// one is placed all live placements are already fixed; under first-fit a
+/// zero-volume cluster pops the least-loaded partition and pushes the same
+/// load back, leaving the heap's (load, partition) multiset — the only
+/// state later pops observe — unchanged. Since only live clusters are ever
+/// queried by phase 2 (a stream vertex has degree ≥ 1, so its cluster has
+/// volume ≥ 1), the paged and flat runs are bit-identical.
 pub fn schedule_live_clusters(
-    live: &mut [(ClusterId, u64)],
+    clusters: &mut [(ClusterId, u64)],
     k: u32,
-    sorted: bool,
+    mapping: MappingStrategy,
     mut place: impl FnMut(ClusterId, PartitionId),
 ) {
     assert!(k > 0, "k must be positive");
-    debug_assert!(live.windows(2).all(|w| w[0].0 < w[1].0), "ids must ascend");
-    if sorted {
-        live.sort_by_key(|&(c, vol)| (Reverse(vol), c));
+    debug_assert!(
+        clusters.windows(2).all(|w| w[0].0 < w[1].0),
+        "ids must ascend"
+    );
+    match mapping {
+        MappingStrategy::SortedGraham => clusters.sort_by_key(|&(c, vol)| (Reverse(vol), c)),
+        MappingStrategy::UnsortedFirstFit => {}
     }
+    // Min-heap of (load, partition id): pop = least loaded, lowest id on
+    // ties. `O(C log k)`.
     let mut heap: BinaryHeap<Reverse<(u64, PartitionId)>> =
         (0..k).map(|p| Reverse((0u64, p))).collect();
-    for &(c, vol) in live.iter() {
+    for &(c, vol) in clusters.iter() {
         let Reverse((load, p)) = heap.pop().expect("heap holds k entries");
         place(c, p);
         heap.push(Reverse((load + vol, p)));
@@ -286,12 +266,11 @@ mod tests {
             .collect();
         let c = clustering_with_volumes(vols.clone());
         for k in [2u32, 3, 7] {
-            for sorted in [true, false] {
-                let full = if sorted {
-                    ClusterPlacement::sorted_list_schedule(&c, k)
-                } else {
-                    ClusterPlacement::unsorted_schedule(&c, k)
-                };
+            for mapping in [
+                MappingStrategy::SortedGraham,
+                MappingStrategy::UnsortedFirstFit,
+            ] {
+                let full = ClusterPlacement::schedule(&c, k, mapping);
                 let mut live: Vec<(u32, u64)> = vols
                     .iter()
                     .enumerate()
@@ -299,10 +278,10 @@ mod tests {
                     .map(|(i, &v)| (i as u32, v))
                     .collect();
                 let mut placed = Vec::new();
-                schedule_live_clusters(&mut live, k, sorted, |c, p| placed.push((c, p)));
+                schedule_live_clusters(&mut live, k, mapping, |c, p| placed.push((c, p)));
                 assert_eq!(placed.len(), vols.iter().filter(|&&v| v > 0).count());
                 for (cl, p) in placed {
-                    assert_eq!(p, full.partition_of(cl), "k={k} sorted={sorted} c={cl}");
+                    assert_eq!(p, full.partition_of(cl), "k={k} {mapping:?} c={cl}");
                 }
             }
         }

@@ -23,7 +23,8 @@ use std::sync::Arc;
 
 use tps_clustering::model::{Clustering, NO_CLUSTER};
 use tps_clustering::paged::{PageStoreProvider, PagedClustering, DEFAULT_PAGE_SIZE};
-use tps_clustering::streaming::{clustering_pass, clustering_pass_on, VolumeCap};
+use tps_clustering::streaming::clustering_pass_on;
+use tps_clustering::table::ClusterTable;
 use tps_graph::degree::DegreeTable;
 use tps_graph::hash::seeded_hash_to_partition;
 use tps_graph::stream::{discover_info, EdgeStream};
@@ -31,16 +32,14 @@ use tps_graph::types::{ClusterId, Edge, PartitionId, VertexId};
 use tps_metrics::bitmatrix::{ReplicaSet, ReplicationMatrix};
 
 use crate::balance::{LoadTracker, PartitionLoads};
+use crate::parallel::{
+    cluster_placement, record_clustering_counters, record_phase2_counters, resolve_volume_cap,
+};
 use crate::partitioner::{PartitionParams, Partitioner, RunReport};
 use crate::sink::AssignmentSink;
 use crate::two_phase::mapping::ClusterPlacement;
 use crate::two_phase::scoring::{hdrf_score, two_choice_best, EdgeScoreInputs, HdrfParams};
 
-static CLUSTERING_CLUSTERS: tps_obs::Counter = tps_obs::Counter::new("clustering.clusters");
-static CORE_ASSIGN_PREPARTITIONED: tps_obs::Counter =
-    tps_obs::Counter::new("core.assign.prepartitioned");
-static CORE_ASSIGN_REMAINING: tps_obs::Counter = tps_obs::Counter::new("core.assign.remaining");
-static CORE_ASSIGN_FALLBACK: tps_obs::Counter = tps_obs::Counter::new("core.assign.fallback");
 static CORE_PAGING_BUDGET_BYTES: tps_obs::Counter =
     tps_obs::Counter::new("core.paging.budget_bytes");
 static CORE_PAGING_FAULTS: tps_obs::Counter = tps_obs::Counter::new("core.paging.faults");
@@ -118,6 +117,26 @@ impl TwoPhaseConfig {
             ..Default::default()
         }
     }
+
+    /// The algorithm's name as the paper's plots spell it.
+    pub fn algorithm_name(&self) -> &'static str {
+        match self.strategy {
+            RemainingStrategy::TwoChoice => "2PS-L",
+            RemainingStrategy::Hdrf(_) => "2PS-HDRF",
+        }
+    }
+
+    /// Panic unless every runner can execute this configuration.
+    pub(crate) fn validate(&self) {
+        assert!(
+            self.clustering_passes >= 1,
+            "need at least one clustering pass"
+        );
+        assert!(
+            self.volume_cap_factor > 0.0,
+            "volume cap factor must be positive"
+        );
+    }
 }
 
 /// Out-of-core execution policy for the serial runner: keep cluster state
@@ -176,14 +195,7 @@ pub struct TwoPhasePartitioner {
 impl TwoPhasePartitioner {
     /// Create a partitioner with `config`.
     pub fn new(config: TwoPhaseConfig) -> Self {
-        assert!(
-            config.clustering_passes >= 1,
-            "need at least one clustering pass"
-        );
-        assert!(
-            config.volume_cap_factor > 0.0,
-            "volume cap factor must be positive"
-        );
+        config.validate();
         TwoPhasePartitioner {
             config,
             paging: None,
@@ -203,16 +215,18 @@ impl TwoPhasePartitioner {
         &self.config
     }
 
-    /// The out-of-core run: the same five phases as the flat path, with
-    /// every cluster-state access routed through a [`PagedClustering`]
-    /// bounded by the paging budget. The decision sequence is shared (see
-    /// [`EdgeAssigner`]), so output is bit-identical to the flat path.
-    fn partition_paged(
+    /// The 2PS-L pass sequence, written once for every cluster-state
+    /// storage (`open_store` builds it for the graph's vertex count): the
+    /// degree pass, `clustering_passes` clustering passes, the
+    /// cluster→partition mapping, the pre-partitioning pass and the
+    /// remaining pass. Flat and paged runs execute the same calls in the
+    /// same order, so their output is bit-identical.
+    fn run_on<S: ClusterStore>(
         &self,
-        paging: &ClusterPaging,
         stream: &mut dyn EdgeStream,
         params: &PartitionParams,
         sink: &mut dyn AssignmentSink,
+        open_store: impl FnOnce(u64) -> io::Result<S>,
     ) -> io::Result<RunReport> {
         let mut report = RunReport::default();
         let info = discover_info(stream)?;
@@ -225,103 +239,164 @@ impl TwoPhasePartitioner {
         let degrees = DegreeTable::compute(stream, info.num_vertices)?;
         report.phases.record("degree", s0.end());
 
-        // Phase 1: streaming clustering against the paged table.
+        // Phase 1: streaming clustering (`passes` streaming passes).
         let s1 = tps_obs::span("clustering");
-        let cap = VolumeCap::FractionOfTotal(self.config.volume_cap_factor / params.k as f64)
-            .resolve(degrees.total_volume());
-        let backing = paging.provider.open_store(paging.page_size)?;
-        let mut table = PagedClustering::with_page_size(
-            info.num_vertices,
-            paging.budget_bytes,
-            paging.page_size,
-            backing,
-        );
+        let cap = resolve_volume_cap(&self.config, params.k, &degrees);
+        let mut store = open_store(info.num_vertices)?;
         for _ in 0..self.config.clustering_passes {
             let pass = tps_obs::span("clustering.pass");
-            clustering_pass_on(stream, &degrees, cap, &mut table)?;
-            table.check_io()?;
+            clustering_pass_on(stream, &degrees, cap, store.table())?;
+            store.check_io()?;
             pass.end();
         }
         report.phases.record("clustering", s1.end());
 
-        // Phase 2 step 1: schedule the live clusters straight into the
-        // paged `c2p` array. The live list is the one transient term that
-        // scales with the clustering, not the budget: O(#live clusters)
-        // (see ARCHITECTURE.md "Memory model" for the accounting).
+        // Phase 2 step 1: map clusters to partitions (no streaming pass).
         let s2 = tps_obs::span("mapping");
-        let mut live: Vec<(ClusterId, u64)> = Vec::new();
-        table.for_each_volume(|c, vol| {
-            if vol > 0 {
-                live.push((c, vol));
-            }
-        });
-        table.check_io()?;
-        let num_clusters = live.len() as u64;
-        let max_cluster_volume = live.iter().map(|&(_, vol)| vol).max().unwrap_or(0);
-        mapping::schedule_live_clusters(
-            &mut live,
-            params.k,
-            self.config.mapping == MappingStrategy::SortedGraham,
-            |c, p| table.set_partition_of(c, p),
-        );
-        drop(live);
-        table.check_io()?;
+        let (clusters, max_cluster_volume) = store.place_clusters(&self.config, params.k)?;
         report.phases.record("mapping", s2.end());
 
-        let mut state = EdgeAssigner::with_view(
+        let mut state = EdgeAssigner::new(
             &degrees,
-            &mut table,
+            store,
             ReplicationMatrix::new(info.num_vertices, params.k),
             PartitionLoads::new(params.k, info.num_edges, params.alpha),
-            self.config.hash_seed,
+            self.config,
         );
 
         // Phase 2 step 2: pre-partitioning pass.
         if self.config.prepartitioning {
             let s3 = tps_obs::span("prepartition");
-            stream.reset()?;
-            while let Some(edge) = stream.next_edge()? {
-                state.prepartition_edge(edge, sink)?;
-            }
+            state.prepartition_pass(stream, sink)?;
             report.phases.record("prepartition", s3.end());
         }
 
         // Phase 2 step 3: score-and-assign the remaining edges.
         let s4 = tps_obs::span("partition");
-        stream.reset()?;
-        while let Some(edge) = stream.next_edge()? {
-            if self.config.prepartitioning && state.prepartition_target(edge).is_some() {
-                continue; // already assigned in the pre-partitioning pass
-            }
-            state.assign_remaining(edge, self.config.strategy, sink)?;
-        }
+        state.remaining_pass(stream, sink)?;
         report.phases.record("partition", s4.end());
 
-        let counters = state.counters;
-        table.check_io()?;
-        let stats = table.stats();
+        let (counters, mut store) = (state.counters, state.view);
+        store.check_io()?;
+        // One worker holding the whole cap never overshoots it.
+        record_phase2_counters(&mut report, &counters, 0);
+        record_clustering_counters(&mut report, clusters, max_cluster_volume, cap);
+        store.record_counters(&mut report);
+        Ok(report)
+    }
+}
 
-        report.count("prepartitioned", counters.prepartitioned);
-        report.count("prepartition_overflow", counters.prepartition_overflow);
-        report.count("remaining", counters.remaining);
-        report.count("fallback_hash", counters.fallback_hash);
-        report.count("fallback_least_loaded", counters.fallback_least_loaded);
-        report.count("clusters", num_clusters);
-        report.count("cluster_volume_cap", cap);
-        report.count("max_cluster_volume", max_cluster_volume);
-        report.count("paging_budget_bytes", paging.budget_bytes);
+/// The cluster-state storage the serial pass sequence runs against; phase
+/// 2 reads it as a [`ClusterView`]. The storage supplies only the steps
+/// that differ between the flat and the paged table;
+/// [`TwoPhasePartitioner::run_on`] owns everything else.
+trait ClusterStore: ClusterView {
+    /// What the clustering passes write.
+    type Table: ClusterTable;
+
+    /// The table the clustering passes run against.
+    fn table(&mut self) -> &mut Self::Table;
+
+    /// Phase 2 step 1: give every live cluster its partition. Returns the
+    /// number of live clusters and the largest cluster volume.
+    fn place_clusters(&mut self, config: &TwoPhaseConfig, k: u32) -> io::Result<(u64, u64)>;
+
+    /// Surface an I/O error the storage deferred.
+    fn check_io(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Append the storage's own report counters.
+    fn record_counters(&self, _report: &mut RunReport) {}
+}
+
+/// Flat in-memory cluster state: the [`Clustering`] plus, once mapped, its
+/// [`ClusterPlacement`].
+struct FlatClusters {
+    clustering: Clustering,
+    placement: ClusterPlacement,
+}
+
+impl ClusterStore for FlatClusters {
+    type Table = Clustering;
+
+    fn table(&mut self) -> &mut Clustering {
+        &mut self.clustering
+    }
+
+    fn place_clusters(&mut self, config: &TwoPhaseConfig, k: u32) -> io::Result<(u64, u64)> {
+        self.placement = cluster_placement(config, &self.clustering, k);
+        Ok((
+            self.clustering.num_nonempty_clusters() as u64,
+            self.clustering.max_volume(),
+        ))
+    }
+}
+
+impl ClusterView for FlatClusters {
+    #[inline]
+    fn cluster_of(&mut self, v: VertexId) -> ClusterId {
+        self.clustering.raw_cluster_of(v)
+    }
+    #[inline]
+    fn volume(&mut self, c: ClusterId) -> u64 {
+        self.clustering.volume(c)
+    }
+    #[inline]
+    fn partition_of(&mut self, c: ClusterId) -> PartitionId {
+        self.placement.partition_of(c)
+    }
+}
+
+/// Cluster state paged under a byte budget (the out-of-core mode).
+struct PagedClusters {
+    table: PagedClustering,
+    budget_bytes: u64,
+}
+
+impl ClusterStore for PagedClusters {
+    type Table = PagedClustering;
+
+    fn table(&mut self) -> &mut PagedClustering {
+        &mut self.table
+    }
+
+    /// Schedules the live clusters straight into the paged `c2p` array. The
+    /// live list is the one transient term that scales with the clustering,
+    /// not the budget: O(#live clusters) (see ARCHITECTURE.md "Memory
+    /// model" for the accounting).
+    fn place_clusters(&mut self, config: &TwoPhaseConfig, k: u32) -> io::Result<(u64, u64)> {
+        let mut live: Vec<(ClusterId, u64)> = Vec::new();
+        self.table.for_each_volume(|c, vol| {
+            if vol > 0 {
+                live.push((c, vol));
+            }
+        });
+        self.table.check_io()?;
+        let clusters = live.len() as u64;
+        let max_cluster_volume = live.iter().map(|&(_, vol)| vol).max().unwrap_or(0);
+        let table = &mut self.table;
+        mapping::schedule_live_clusters(&mut live, k, config.mapping, |c, p| {
+            table.set_partition_of(c, p)
+        });
+        self.table.check_io()?;
+        Ok((clusters, max_cluster_volume))
+    }
+
+    fn check_io(&mut self) -> io::Result<()> {
+        self.table.check_io()
+    }
+
+    fn record_counters(&self, report: &mut RunReport) {
+        let stats = self.table.stats();
+        report.count("paging_budget_bytes", self.budget_bytes);
         report.count("paging_faults", stats.faults);
         report.count("paging_evictions", stats.evictions);
         report.count("paging_writebacks", stats.writebacks);
-        CLUSTERING_CLUSTERS.add(num_clusters);
-        CORE_ASSIGN_PREPARTITIONED.add(counters.prepartitioned);
-        CORE_ASSIGN_REMAINING.add(counters.remaining);
-        CORE_ASSIGN_FALLBACK.add(counters.fallback_hash + counters.fallback_least_loaded);
-        CORE_PAGING_BUDGET_BYTES.add(paging.budget_bytes);
+        CORE_PAGING_BUDGET_BYTES.add(self.budget_bytes);
         CORE_PAGING_FAULTS.add(stats.faults);
         CORE_PAGING_EVICTIONS.add(stats.evictions);
         CORE_PAGING_WRITEBACKS.add(stats.writebacks);
-        Ok(report)
     }
 }
 
@@ -354,8 +429,8 @@ impl AssignCounters {
 }
 
 /// The phase-1+2 state phase 2 reads per edge: a vertex's cluster, a
-/// cluster's volume and a cluster's partition. The in-memory
-/// ([`PlanView`]) and paged ([`PagedClustering`]) storages implement it,
+/// cluster's volume and a cluster's partition. The in-memory ([`PlanView`],
+/// [`FlatClusters`]) and paged ([`PagedClusters`]) storages implement it,
 /// so the per-edge decision kernel is storage-agnostic. Accessors take
 /// `&mut self` because the paged view faults pages (and updates its LRU)
 /// on reads.
@@ -390,91 +465,84 @@ impl ClusterView for PlanView<'_> {
     }
 }
 
-impl ClusterView for PagedClustering {
+impl ClusterView for PagedClusters {
     #[inline]
     fn cluster_of(&mut self, v: VertexId) -> ClusterId {
-        self.raw_cluster_of(v)
+        self.table.raw_cluster_of(v)
     }
     #[inline]
     fn volume(&mut self, c: ClusterId) -> u64 {
-        self.cluster_volume(c)
+        self.table.cluster_volume(c)
     }
     #[inline]
     fn partition_of(&mut self, c: ClusterId) -> PartitionId {
-        PagedClustering::partition_of(self, c)
+        self.table.partition_of(c)
     }
 }
 
-impl<T: ClusterView + ?Sized> ClusterView for &mut T {
-    #[inline]
-    fn cluster_of(&mut self, v: VertexId) -> ClusterId {
-        (**self).cluster_of(v)
-    }
-    #[inline]
-    fn volume(&mut self, c: ClusterId) -> u64 {
-        (**self).volume(c)
-    }
-    #[inline]
-    fn partition_of(&mut self, c: ClusterId) -> PartitionId {
-        (**self).partition_of(c)
-    }
-}
-
-/// The phase-2 per-edge decision kernel, generic over the load tracker,
-/// the replication state and the cluster-state storage so the serial
-/// runner ([`TwoPhasePartitioner`], flat or paged), the chunk-parallel
-/// runner ([`crate::parallel::ParallelRunner`], over a shared atomic
-/// matrix) and the distributed worker (owned per-shard matrix) execute the
-/// *same* decision path — a one-thread parallel run is bit-identical to a
-/// serial run, and a paged run to an unpaged one, by construction, not by
-/// testing alone.
+/// The phase-2 edge kernel, generic over the load tracker, the replication
+/// state and the cluster-state storage so the serial runner
+/// ([`TwoPhasePartitioner`], flat or paged), the chunk-parallel runner
+/// ([`crate::parallel::ParallelRunner`], over a shared atomic matrix) and the
+/// distributed worker (owned per-shard matrix) run the *same* two passes —
+/// a one-thread parallel run is bit-identical to a serial run, and a paged
+/// run to an unpaged one, by construction, not by testing alone.
 pub(crate) struct EdgeAssigner<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView = PlanView<'a>> {
     pub(crate) degrees: &'a DegreeTable,
     pub(crate) view: C,
     pub(crate) v2p: R,
     pub(crate) loads: L,
-    pub(crate) hash_seed: u64,
+    pub(crate) config: TwoPhaseConfig,
     pub(crate) counters: AssignCounters,
 }
 
-impl<'a, L: LoadTracker, R: ReplicaSet> EdgeAssigner<'a, L, R> {
-    pub(crate) fn new(
-        degrees: &'a DegreeTable,
-        clustering: &'a Clustering,
-        placement: &'a ClusterPlacement,
-        replicas: R,
-        loads: L,
-        hash_seed: u64,
-    ) -> Self {
-        EdgeAssigner::with_view(
-            degrees,
-            PlanView {
-                clustering,
-                placement,
-            },
-            replicas,
-            loads,
-            hash_seed,
-        )
-    }
-}
-
 impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C> {
-    pub(crate) fn with_view(
+    pub(crate) fn new(
         degrees: &'a DegreeTable,
         view: C,
         replicas: R,
         loads: L,
-        hash_seed: u64,
+        config: TwoPhaseConfig,
     ) -> Self {
         EdgeAssigner {
             degrees,
             view,
             v2p: replicas,
             loads,
-            hash_seed,
+            config,
             counters: AssignCounters::default(),
         }
+    }
+
+    /// Phase 2 step 2: assign every edge of `stream` that satisfies the
+    /// pre-partitioning condition.
+    pub(crate) fn prepartition_pass(
+        &mut self,
+        stream: &mut dyn EdgeStream,
+        sink: &mut dyn AssignmentSink,
+    ) -> io::Result<()> {
+        stream.reset()?;
+        while let Some(edge) = stream.next_edge()? {
+            self.prepartition_edge(edge, sink)?;
+        }
+        Ok(())
+    }
+
+    /// Phase 2 step 3: score and assign every edge of `stream` the
+    /// pre-partitioning pass did not handle.
+    pub(crate) fn remaining_pass(
+        &mut self,
+        stream: &mut dyn EdgeStream,
+        sink: &mut dyn AssignmentSink,
+    ) -> io::Result<()> {
+        stream.reset()?;
+        while let Some(edge) = stream.next_edge()? {
+            if self.config.prepartitioning && self.prepartition_target(edge).is_some() {
+                continue; // already assigned in the pre-partitioning pass
+            }
+            self.assign_remaining(edge, sink)?;
+        }
+        Ok(())
     }
 
     /// Commit `edge` to `p`: update replication state, loads, and the sink.
@@ -499,7 +567,7 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
         // Endpoint degrees are unpredictable; the index select compiles to a
         // conditional move instead of a branch.
         let hv = [edge.src, edge.dst][usize::from(du < dv)];
-        let p = seeded_hash_to_partition(hv, self.hash_seed, self.loads.k());
+        let p = seeded_hash_to_partition(hv, self.config.hash_seed, self.loads.k());
         if !self.loads.is_full(p) {
             self.counters.fallback_hash += 1;
             p
@@ -513,7 +581,7 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
     /// the same cluster, or clusters mapped to the same partition.
     /// (`&mut self`: a paged view faults pages on reads.)
     #[inline]
-    pub(crate) fn prepartition_target(&mut self, edge: Edge) -> Option<PartitionId> {
+    fn prepartition_target(&mut self, edge: Edge) -> Option<PartitionId> {
         let cu = self.view.cluster_of(edge.src);
         let cv = self.view.cluster_of(edge.dst);
         debug_assert_ne!(cu, NO_CLUSTER, "clustering must cover all stream vertices");
@@ -527,15 +595,11 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
     }
 
     /// Phase 2 step 2 for one edge: assign it if it satisfies the
-    /// pre-partitioning condition. Returns whether the edge was handled.
+    /// pre-partitioning condition.
     #[inline]
-    pub(crate) fn prepartition_edge(
-        &mut self,
-        edge: Edge,
-        sink: &mut dyn AssignmentSink,
-    ) -> io::Result<bool> {
+    fn prepartition_edge(&mut self, edge: Edge, sink: &mut dyn AssignmentSink) -> io::Result<()> {
         let Some(target) = self.prepartition_target(edge) else {
-            return Ok(false);
+            return Ok(());
         };
         let target = if self.loads.is_full(target) {
             self.counters.prepartition_overflow += 1;
@@ -544,19 +608,13 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
             self.counters.prepartitioned += 1;
             target
         };
-        self.commit(edge, target, sink)?;
-        Ok(true)
+        self.commit(edge, target, sink)
     }
 
     /// Phase 2 step 3 for one edge that was *not* pre-partitioned: score the
     /// candidate partitions and commit the winner (with the fallback chain
     /// when candidates are full).
-    pub(crate) fn assign_remaining(
-        &mut self,
-        edge: Edge,
-        strategy: RemainingStrategy,
-        sink: &mut dyn AssignmentSink,
-    ) -> io::Result<()> {
+    fn assign_remaining(&mut self, edge: Edge, sink: &mut dyn AssignmentSink) -> io::Result<()> {
         self.counters.remaining += 1;
         let cu = self.view.cluster_of(edge.src);
         let cv = self.view.cluster_of(edge.dst);
@@ -570,7 +628,7 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
             pu: self.view.partition_of(cu),
             pv: self.view.partition_of(cv),
         };
-        let mut target = match strategy {
+        let mut target = match self.config.strategy {
             RemainingStrategy::TwoChoice => {
                 let best = two_choice_best(&inputs, &self.v2p);
                 // If the best of the two candidates is full, try the
@@ -629,10 +687,7 @@ impl<'a, L: LoadTracker, R: ReplicaSet, C: ClusterView> EdgeAssigner<'a, L, R, C
 
 impl Partitioner for TwoPhasePartitioner {
     fn name(&self) -> String {
-        match self.config.strategy {
-            RemainingStrategy::TwoChoice => "2PS-L".to_string(),
-            RemainingStrategy::Hdrf(_) => "2PS-HDRF".to_string(),
-        }
+        self.config.algorithm_name().to_string()
     }
 
     fn partition(
@@ -641,94 +696,26 @@ impl Partitioner for TwoPhasePartitioner {
         params: &PartitionParams,
         sink: &mut dyn AssignmentSink,
     ) -> io::Result<RunReport> {
-        if let Some(paging) = self.paging.clone() {
-            return self.partition_paged(&paging, stream, params, sink);
+        match &self.paging {
+            None => self.run_on(stream, params, sink, |num_vertices| {
+                Ok(FlatClusters {
+                    clustering: Clustering::empty(num_vertices),
+                    placement: ClusterPlacement::default(),
+                })
+            }),
+            Some(paging) => self.run_on(stream, params, sink, |num_vertices| {
+                let backing = paging.provider.open_store(paging.page_size)?;
+                Ok(PagedClusters {
+                    table: PagedClustering::with_page_size(
+                        num_vertices,
+                        paging.budget_bytes,
+                        paging.page_size,
+                        backing,
+                    ),
+                    budget_bytes: paging.budget_bytes,
+                })
+            }),
         }
-        let mut report = RunReport::default();
-        let info = discover_info(stream)?;
-        if info.num_edges == 0 {
-            return Ok(report);
-        }
-
-        // Phase 0: exact degrees (one streaming pass).
-        let s0 = tps_obs::span("degree");
-        let degrees = DegreeTable::compute(stream, info.num_vertices)?;
-        report.phases.record("degree", s0.end());
-
-        // Phase 1: streaming clustering (`passes` streaming passes).
-        let s1 = tps_obs::span("clustering");
-        let cap = VolumeCap::FractionOfTotal(self.config.volume_cap_factor / params.k as f64)
-            .resolve(degrees.total_volume());
-        let mut clustering = Clustering::empty(info.num_vertices);
-        for _ in 0..self.config.clustering_passes {
-            let pass = tps_obs::span("clustering.pass");
-            clustering_pass(stream, &degrees, cap, &mut clustering)?;
-            pass.end();
-        }
-        report.phases.record("clustering", s1.end());
-
-        // Phase 2 step 1: map clusters to partitions (no streaming pass).
-        let s2 = tps_obs::span("mapping");
-        let placement = match self.config.mapping {
-            MappingStrategy::SortedGraham => {
-                ClusterPlacement::sorted_list_schedule(&clustering, params.k)
-            }
-            MappingStrategy::UnsortedFirstFit => {
-                ClusterPlacement::unsorted_schedule(&clustering, params.k)
-            }
-        };
-        report.phases.record("mapping", s2.end());
-
-        let mut state = EdgeAssigner::new(
-            &degrees,
-            &clustering,
-            &placement,
-            ReplicationMatrix::new(info.num_vertices, params.k),
-            PartitionLoads::new(params.k, info.num_edges, params.alpha),
-            self.config.hash_seed,
-        );
-
-        // Phase 2 step 2: pre-partitioning pass.
-        if self.config.prepartitioning {
-            let s3 = tps_obs::span("prepartition");
-            stream.reset()?;
-            while let Some(edge) = stream.next_edge()? {
-                state.prepartition_edge(edge, sink)?;
-            }
-            report.phases.record("prepartition", s3.end());
-        }
-
-        // Phase 2 step 3: score-and-assign the remaining edges.
-        let s4 = tps_obs::span("partition");
-        stream.reset()?;
-        while let Some(edge) = stream.next_edge()? {
-            if self.config.prepartitioning && state.prepartition_target(edge).is_some() {
-                continue; // already assigned in the pre-partitioning pass
-            }
-            state.assign_remaining(edge, self.config.strategy, sink)?;
-        }
-        report.phases.record("partition", s4.end());
-
-        report.count("prepartitioned", state.counters.prepartitioned);
-        report.count(
-            "prepartition_overflow",
-            state.counters.prepartition_overflow,
-        );
-        report.count("remaining", state.counters.remaining);
-        report.count("fallback_hash", state.counters.fallback_hash);
-        report.count(
-            "fallback_least_loaded",
-            state.counters.fallback_least_loaded,
-        );
-        report.count("clusters", clustering.num_nonempty_clusters() as u64);
-        report.count("cluster_volume_cap", cap);
-        report.count("max_cluster_volume", clustering.max_volume());
-        CLUSTERING_CLUSTERS.add(clustering.num_nonempty_clusters() as u64);
-        CORE_ASSIGN_PREPARTITIONED.add(state.counters.prepartitioned);
-        CORE_ASSIGN_REMAINING.add(state.counters.remaining);
-        CORE_ASSIGN_FALLBACK
-            .add(state.counters.fallback_hash + state.counters.fallback_least_loaded);
-        Ok(report)
     }
 }
 

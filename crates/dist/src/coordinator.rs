@@ -472,7 +472,12 @@ impl Coordinator<'_> {
         report.count("workers_rejoined", self.rejoined);
         let overshoot = overshoot_from_loads(&loads, self.k, self.info.num_edges, self.alpha);
         record_phase2_counters(&mut report, &counters, overshoot);
-        record_clustering_counters(&mut report, &clustering, volume_cap);
+        record_clustering_counters(
+            &mut report,
+            clustering.num_nonempty_clusters() as u64,
+            clustering.max_volume(),
+            volume_cap,
+        );
         Ok(report)
     }
 

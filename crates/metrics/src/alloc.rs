@@ -117,10 +117,13 @@ mod tests {
 
     // NOTE: the allocator is *not* installed in unit tests (installing a
     // global allocator in a lib's test build would affect every test). These
-    // tests cover the bookkeeping arithmetic through the public hooks.
+    // tests cover the bookkeeping arithmetic through the public hooks, one
+    // at a time: they share the global counters.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn add_sub_roundtrip() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let before = current_bytes();
         CountingAllocator::add(1024);
         assert_eq!(current_bytes(), before + 1024);
@@ -131,6 +134,7 @@ mod tests {
 
     #[test]
     fn reset_peak_drops_to_current() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         CountingAllocator::add(4096);
         CountingAllocator::sub(4096);
         reset_peak();
@@ -139,6 +143,7 @@ mod tests {
 
     #[test]
     fn measure_peak_reports_growth() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let ((), growth) = measure_peak(|| {
             CountingAllocator::add(10_000);
             CountingAllocator::sub(10_000);

@@ -17,8 +17,6 @@
 //!   paper's "maximum resident set size" plots (Fig. 4, right column).
 //! * [`stats`] — mean / standard deviation over repeated runs (the paper
 //!   reports 3-run means with error bars).
-//! * [`timer`] — re-export of the `tps-obs` phase timer (Fig. 5 run-time
-//!   dissection); spans in `tps-obs` are the single timing source.
 //! * [`table`] — aligned text tables and CSV output for the bench binaries.
 
 pub mod alloc;
@@ -27,7 +25,6 @@ pub mod bitmatrix;
 pub mod quality;
 pub mod stats;
 pub mod table;
-pub mod timer;
 
 pub use atomic::{AtomicReplicationMatrix, SharedReplicaView};
 pub use bitmatrix::{ReplicaSet, ReplicationMatrix};

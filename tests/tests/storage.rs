@@ -40,17 +40,41 @@ fn dbh_makes_two_passes() {
 
 #[test]
 fn table5_device_ordering_holds_for_full_runs() {
+    // A run takes a few milliseconds, so a single timed run per device lets
+    // warm-up and scheduler noise outweigh the simulated I/O gap. Warm up
+    // once, then time every device in interleaved rounds and take its lower
+    // quartile compute time (steady on a host whose run times are bimodal);
+    // the simulated I/O is the same on every run of a device.
+    const ROUNDS: usize = 90;
     let graph = Dataset::Ok.generate_scaled(0.01);
-    let mut totals = Vec::new();
-    for device in DeviceModel::table5() {
+    let run = |device: DeviceModel| {
         let mut stream = DeviceStream::new(graph.stream(), device);
         let mut p = TwoPhasePartitioner::new(TwoPhaseConfig::default());
         let start = std::time::Instant::now();
         p.partition(&mut stream, &PartitionParams::new(32), &mut NullSink)
             .unwrap();
-        let total = start.elapsed() + stream.account().simulated_io;
-        totals.push((device.name, total));
+        (start.elapsed(), stream.account().simulated_io)
+    };
+    run(DeviceModel::page_cache());
+    let devices = DeviceModel::table5();
+    let mut computes = vec![Vec::with_capacity(ROUNDS); devices.len()];
+    let mut ios = vec![std::time::Duration::ZERO; devices.len()];
+    for _ in 0..ROUNDS {
+        for (i, device) in devices.iter().enumerate() {
+            let (compute, io) = run(*device);
+            computes[i].push(compute);
+            ios[i] = io;
+        }
     }
+    let totals: Vec<_> = devices
+        .iter()
+        .zip(&mut computes)
+        .zip(&ios)
+        .map(|((device, compute), io)| {
+            compute.sort();
+            (device.name, compute[ROUNDS / 4] + *io)
+        })
+        .collect();
     assert!(
         totals[0].1 < totals[1].1,
         "page cache {:?} should beat SSD {:?}",
