@@ -32,12 +32,21 @@
 //! bit-identical between the two by construction (see
 //! `tests/tests/out_of_core.rs`).
 //!
+//! The same graph also times **resident paging**: `oc_resident` runs the
+//! `oc_unpaged` job under a budget above the whole cluster table, so the
+//! paged table faults each page in once and never evicts. The two run in
+//! [`RESIDENT_PAIRS`] alternating child pairs, and the ratio of their
+//! median wall times is reported as `paged_resident_vs_flat.slowdown` —
+//! the per-access cost of the paged table when it is not paging, gated
+//! as a zero-tolerance ceiling in `bench/baselines/ci.json`.
+//!
 //! Run: `cargo run --release -p tps-bench --bin mem_peak -- [--quick]`
 //! (`--mode NAME --input FILE` is the internal child-process entry point.)
 
 use std::path::Path;
 use std::time::Instant;
 
+use tps_bench::gate::{parse_json, Json};
 use tps_core::parallel::ParallelRunner;
 use tps_core::partitioner::{PartitionParams, Partitioner};
 use tps_core::sink::NullSink;
@@ -68,6 +77,12 @@ const OC_K: u32 = 8;
 /// order of magnitude bigger (the ≥10× regime the ISSUE gates), so the
 /// budget only holds if pages actually evict.
 const OC_BUDGET_MB: u64 = 2;
+/// `--mem-budget-mb` for `oc_resident`: its cluster-page share (half)
+/// holds the whole OC table (≤ 16 B per vertex, ≤ 24 MB at full size), so
+/// nothing evicts.
+const OC_RESIDENT_BUDGET_MB: u64 = 64;
+/// Alternating (`oc_unpaged`, `oc_resident`) timing pairs.
+const RESIDENT_PAIRS: usize = 3;
 const SPILL_BUDGET_BYTES: u64 = 4 << 20;
 const SEED: u64 = 0xA11C;
 
@@ -213,29 +228,28 @@ fn run_parent(quick: bool, k: u32) {
         )
         .expect("write out-of-core v1 edge file");
     }
-    let mut rows = Vec::new();
-    let children = MODES
+    let rows: Vec<String> = MODES
         .iter()
         .map(|m| (*m, &input, k))
-        .chain(OC_MODES.iter().map(|m| (*m, &oc_input, OC_K)));
-    for (mode, input, k) in children {
-        let out = std::process::Command::new(&exe)
-            .arg("--mode")
-            .arg(mode)
-            .arg("--input")
-            .arg(input)
-            .arg("--k")
-            .arg(k.to_string())
-            .output()
-            .expect("spawn mem_peak child");
-        if !out.status.success() {
-            eprintln!("mode {mode} failed:");
-            eprintln!("{}", String::from_utf8_lossy(&out.stderr));
-            std::process::exit(1);
+        .chain(OC_MODES.iter().map(|m| (*m, &oc_input, OC_K)))
+        .map(|(mode, input, k)| format!("    {}", spawn_child(&exe, mode, input, k)))
+        .collect();
+    // Resident-paging overhead: alternate which side runs first so drift
+    // on the runner lands on both sides evenly.
+    let (mut unpaged_s, mut resident_s) = (Vec::new(), Vec::new());
+    for pair in 0..RESIDENT_PAIRS {
+        let mut order = [
+            ("oc_unpaged", &mut unpaged_s),
+            ("oc_resident", &mut resident_s),
+        ];
+        if pair % 2 == 1 {
+            order.reverse();
         }
-        let row = String::from_utf8(out.stdout).expect("child emits UTF-8");
-        rows.push(format!("    {}", row.trim()));
+        for (mode, times) in order {
+            times.push(child_seconds(&spawn_child(&exe, mode, &oc_input, OC_K)));
+        }
     }
+    let slowdown = median(&resident_s) / median(&unpaged_s);
     if std::env::var_os("TPS_MEM_KEEP").is_none() {
         std::fs::remove_dir_all(&dir).ok();
     } else {
@@ -250,8 +264,58 @@ fn run_parent(quick: bool, k: u32) {
         "  \"spill_budget_mb\": {},",
         SPILL_BUDGET_BYTES as f64 / (1 << 20) as f64
     );
+    println!(
+        "  \"paged_resident_vs_flat\": {{\"mem_budget_mb\": {OC_RESIDENT_BUDGET_MB}, \"pairs\": {RESIDENT_PAIRS}, \"unpaged_s\": {}, \"resident_s\": {}, \"slowdown\": {slowdown:.4}}},",
+        json_list(&unpaged_s),
+        json_list(&resident_s)
+    );
     println!("  \"modes\": [\n{}\n  ]", rows.join(",\n"));
     println!("}}");
+}
+
+/// Run `mode` on `input` in a fresh child process; its one-line JSON row.
+fn spawn_child(exe: &Path, mode: &str, input: &Path, k: u32) -> String {
+    let out = std::process::Command::new(exe)
+        .arg("--mode")
+        .arg(mode)
+        .arg("--input")
+        .arg(input)
+        .arg("--k")
+        .arg(k.to_string())
+        .output()
+        .expect("spawn mem_peak child");
+    if !out.status.success() {
+        eprintln!("mode {mode} failed:");
+        eprintln!("{}", String::from_utf8_lossy(&out.stderr));
+        std::process::exit(1);
+    }
+    let row = String::from_utf8(out.stdout).expect("child emits UTF-8");
+    row.trim().to_string()
+}
+
+/// The `seconds` field of a child row.
+fn child_seconds(row: &str) -> f64 {
+    parse_json(row)
+        .ok()
+        .and_then(|j| j.get("seconds").and_then(Json::as_f64))
+        .unwrap_or_else(|| die(&format!("child row without seconds: {row}")))
+}
+
+/// `xs` as a JSON array of seconds.
+fn json_list(xs: &[f64]) -> String {
+    let items: Vec<String> = xs.iter().map(|x| format!("{x:.3}")).collect();
+    format!("[{}]", items.join(", "))
+}
+
+fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
 }
 
 /// Child: stream the file out-of-core through one mode, report its VmHWM.
@@ -286,11 +350,13 @@ fn run_child(mode: &str, input: &str, k: u32) {
         "dist2" => {
             run_dist_local(&*source, &config, &params, 2, &mut sink).expect("dist-local partition");
         }
-        // The out-of-core pair runs the whole serial job through the
+        // The out-of-core modes run the whole serial job through the
         // JobSpec front door (the same path `tps partition --mem-budget-mb`
         // takes), differing only in the budget — so the RSS delta between
-        // the two rows is exactly what cluster paging buys.
-        "oc_unpaged" | "oc_paged" => {
+        // the unpaged and paged rows is exactly what cluster paging buys,
+        // and the resident row's time is exactly what the paged table's
+        // accesses cost.
+        "oc_unpaged" | "oc_paged" | "oc_resident" => {
             drop(source);
             let mut spec = tps_core::job::JobSpec::path(input)
                 .k(k)
@@ -298,13 +364,21 @@ fn run_child(mode: &str, input: &str, k: u32) {
                 .threads(tps_core::job::ThreadMode::Serial)
                 .two_phase(config)
                 .extra_sink(&mut sink);
-            if mode == "oc_paged" {
-                spec = spec.mem_budget_mb(OC_BUDGET_MB);
+            match mode {
+                "oc_paged" => spec = spec.mem_budget_mb(OC_BUDGET_MB),
+                "oc_resident" => spec = spec.mem_budget_mb(OC_RESIDENT_BUDGET_MB),
+                _ => {}
             }
-            tps_io::run_job(spec).expect("out-of-core partition");
+            let outcome = tps_io::run_job(spec).expect("out-of-core partition");
+            let evictions = outcome.report.counter("paging_evictions");
+            if mode == "oc_resident" && evictions != 0 {
+                die(&format!(
+                    "oc_resident evicted {evictions} pages: raise OC_RESIDENT_BUDGET_MB"
+                ));
+            }
         }
         other => die(&format!(
-            "unknown mode {other:?} (serial|t4|t8|dist2|oc_unpaged|oc_paged)"
+            "unknown mode {other:?} (serial|t4|t8|dist2|oc_unpaged|oc_paged|oc_resident)"
         )),
     }
     let seconds = start.elapsed().as_secs_f64();

@@ -361,7 +361,9 @@ pub fn extract_metrics(report: &Json) -> BTreeMap<String, f64> {
         }
     }
     // mem_peak emits one row per execution mode; the gated number is the
-    // peak-RSS ceiling.
+    // peak-RSS ceiling. Its resident-paging timing pairs add one slowdown
+    // ceiling: the out-of-core job under a budget that never evicts ÷ the
+    // same job unpaged.
     if let Some(mem) = report.get("mem_peak") {
         for entry in mem.get("modes").and_then(Json::as_arr).unwrap_or(&[]) {
             if let (Some(mode), Some(v)) = (
@@ -370,6 +372,13 @@ pub fn extract_metrics(report: &Json) -> BTreeMap<String, f64> {
             ) {
                 out.insert(format!("mem_peak.{mode}.peak_rss_mb"), v);
             }
+        }
+        if let Some(v) = mem
+            .get("paged_resident_vs_flat")
+            .and_then(|p| p.get("slowdown"))
+            .and_then(Json::as_f64)
+        {
+            out.insert("mem_peak.paged_resident_vs_flat.slowdown".to_string(), v);
         }
     }
     // scale_up gates the paper's headline bound from both sides: absolute
@@ -749,7 +758,9 @@ mod tests {
                   {"mode": "serial", "peak_rss_mb": 10.5, "seconds": 0.1},
                   {"mode": "t8", "peak_rss_mb": 12.0, "pre_partition_mb": 2.0},
                   {"mode": "dist2", "peak_rss_mb": 21.0}
-                ]
+                ],
+                "paged_resident_vs_flat": {"pairs": 3, "unpaged_s": [1.0, 1.1, 0.9],
+                  "resident_s": [1.6, 1.7, 1.5], "slowdown": 1.6}
               }
             }"#,
         )
@@ -758,7 +769,13 @@ mod tests {
         assert_eq!(m["mem_peak.serial.peak_rss_mb"], 10.5);
         assert_eq!(m["mem_peak.t8.peak_rss_mb"], 12.0);
         assert_eq!(m["mem_peak.dist2.peak_rss_mb"], 21.0);
-        assert_eq!(m.len(), 3, "seconds/pre_partition are not gated");
+        assert_eq!(m["mem_peak.paged_resident_vs_flat.slowdown"], 1.6);
+        assert!(is_ceiling("mem_peak.paged_resident_vs_flat.slowdown"));
+        assert_eq!(
+            tolerance_override("mem_peak.paged_resident_vs_flat.slowdown"),
+            Some(0.0)
+        );
+        assert_eq!(m.len(), 4, "seconds/pre_partition are not gated");
     }
 
     #[test]

@@ -147,8 +147,9 @@ pub struct ClusterPaging {
     /// Byte budget for resident cluster pages (0 = one frame, fully
     /// external).
     pub budget_bytes: u64,
-    /// Page size in bytes (default [`DEFAULT_PAGE_SIZE`]; tests shrink it
-    /// to force eviction on small graphs).
+    /// Page size in bytes: a power of two of at least 8 (default
+    /// [`DEFAULT_PAGE_SIZE`]; tests shrink it to force eviction on small
+    /// graphs).
     pub page_size: usize,
     /// Opens the backing page store (e.g. `tps-io`'s checksummed file
     /// store, or [`tps_clustering::paged::MemPageStoreProvider`] in tests).
