@@ -1,11 +1,13 @@
-//! Reader-backend comparison: buffered vs mmap vs prefetch, v1 vs v2.
+//! Reader-backend comparison: buffered vs mmap, v1 vs v2.
 //!
 //! Writes an R-MAT-skewed stand-in graph as both TPSBEL1 and TPSBEL2, then
 //! times a 4-pass streaming *epoch* per (format × backend) combination — one
 //! open, then `EPOCH_PASSES` (4) sequential fingerprint passes, the exact
 //! access pattern of a 2PS-L partitioning run (degree, clustering,
 //! prepartition, partition) — and a full 2PS-L partition per backend on the
-//! v1 file, emitting a JSON report on stdout. The headline
+//! v1 file, emitting a JSON report on stdout. Both sections run the
+//! repeats as the outer loop and rotate the backend order every repeat, so
+//! no backend always runs first (cold caches, turbo) or last. The headline
 //! `medges_per_sec` is the per-pass average over the epoch; the cold
 //! (first, checksummed + decoded) and warm passes are also reported
 //! separately so the cold-pass premium stays visible. Warm v2 passes are
@@ -25,13 +27,21 @@
 use std::time::Instant;
 
 use tps_bench::harness::BenchArgs;
+use tps_core::job::ReaderKind;
 use tps_core::partitioner::{PartitionParams, Partitioner};
 use tps_core::sink::NullSink;
 use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
 use tps_graph::datasets::Dataset;
 use tps_graph::formats::binary::write_binary_edge_list;
 use tps_graph::stream::EdgeStream;
-use tps_io::{open_edge_stream, write_v2_edge_list, ReaderBackend};
+use tps_io::{open_edge_stream, write_v2_edge_list};
+
+/// The backends in the order repeat `r` runs them: [`ReaderKind::ALL`]
+/// rotated left by `r`.
+fn rotated_backends(r: u32) -> impl Iterator<Item = ReaderKind> {
+    let all = ReaderKind::ALL;
+    (0..all.len()).map(move |i| all[(r as usize + i) % all.len()])
+}
 
 /// Order-sensitive stream fingerprint (FNV-1a over the edge byte sequence).
 fn stream_fingerprint(stream: &mut dyn EdgeStream) -> std::io::Result<(u64, u64)> {
@@ -88,8 +98,8 @@ fn main() {
     // back-to-back per backend: the container CPU clock drifts over a run
     // (turbo at the start, sustained later), and interleaving keeps each
     // ratio's numerator and denominator under the same clock.
-    for _ in 0..args.repeats {
-        for backend in ReaderBackend::ALL {
+    for r in 0..args.repeats {
+        for backend in rotated_backends(r) {
             for (format, path) in [("v1", &v1_path), ("v2", &v2_path)] {
                 let mut stream = open_edge_stream(path, backend).expect("open stream");
                 let start = Instant::now();
@@ -131,7 +141,7 @@ fn main() {
     let edges = graph.num_edges() as f64;
     let mut results = Vec::new();
     for (format, _) in [("v1", &v1_path), ("v2", &v2_path)] {
-        for backend in ReaderBackend::ALL {
+        for backend in ReaderKind::ALL {
             let acc = &accs[&(format, backend.name())];
             results.push(format!(
                 "    {{\"format\": \"{format}\", \"backend\": \"{}\", \"passes\": {EPOCH_PASSES}, \
@@ -152,7 +162,7 @@ fn main() {
     // equally and cancels, where best-of favors whichever format caught
     // the fastest clock window.
     let mut ratio_results = Vec::new();
-    for backend in ReaderBackend::ALL {
+    for backend in ReaderKind::ALL {
         let v1 = &accs[&("v1", backend.name())];
         let v2 = &accs[&("v2", backend.name())];
         ratio_results.push(format!(
@@ -166,23 +176,30 @@ fn main() {
     }
 
     // End-to-end: a full 2PS-L partition (4 passes over the stream) per
-    // backend on the v1 file.
-    let mut partition_results = Vec::new();
-    for backend in ReaderBackend::ALL {
-        let mut best = f64::INFINITY;
-        for _ in 0..args.repeats {
+    // backend on the v1 file, interleaved like the stream section.
+    let mut best = std::collections::BTreeMap::new();
+    for r in 0..args.repeats {
+        for backend in rotated_backends(r) {
             let mut stream = open_edge_stream(&v1_path, backend).expect("open stream");
             let mut p = TwoPhasePartitioner::new(TwoPhaseConfig::default());
             let start = Instant::now();
             p.partition(&mut stream, &PartitionParams::new(32), &mut NullSink)
                 .expect("partition");
-            best = best.min(start.elapsed().as_secs_f64());
+            let secs = start.elapsed().as_secs_f64();
+            let b = best.entry(backend.name()).or_insert(f64::INFINITY);
+            *b = secs.min(*b);
         }
-        partition_results.push(format!(
-            "    {{\"backend\": \"{}\", \"partition_seconds\": {best:.6}}}",
-            backend.name()
-        ));
     }
+    let partition_results: Vec<String> = ReaderKind::ALL
+        .iter()
+        .map(|backend| {
+            format!(
+                "    {{\"backend\": \"{}\", \"partition_seconds\": {:.6}}}",
+                backend.name(),
+                best[backend.name()]
+            )
+        })
+        .collect();
 
     println!("{{");
     println!(

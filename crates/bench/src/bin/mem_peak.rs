@@ -47,6 +47,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use tps_bench::gate::{parse_json, Json};
+use tps_core::job::ReaderKind;
 use tps_core::parallel::ParallelRunner;
 use tps_core::partitioner::{PartitionParams, Partitioner};
 use tps_core::sink::NullSink;
@@ -320,7 +321,7 @@ fn median(xs: &[f64]) -> f64 {
 
 /// Child: stream the file out-of-core through one mode, report its VmHWM.
 fn run_child(mode: &str, input: &str, k: u32) {
-    let source = tps_io::open_ranged_backend(Path::new(input), tps_io::ReaderBackend::Buffered)
+    let source = tps_io::open_ranged_backend(Path::new(input), ReaderKind::Buffered)
         .expect("open v1 edge file");
     let info = source.info();
     let params = PartitionParams::with_alpha(k, BALANCE_ALPHA);

@@ -3,6 +3,7 @@
 //! the flags every partitioning-adjacent subcommand accepts.
 
 use std::collections::HashMap;
+use std::path::Path;
 
 use tps_core::job::{ReaderKind, ThreadMode};
 
@@ -110,6 +111,24 @@ pub struct CommonOpts {
     pub format: Option<String>,
 }
 
+/// Resolve the input format: the `--format` flag, else the file extension.
+pub fn resolve_format(path: &str, format: Option<&str>) -> String {
+    match format {
+        Some(f) => f.to_string(),
+        None => Path::new(path)
+            .extension()
+            .and_then(|e| e.to_str())
+            .unwrap_or("bel")
+            .to_string(),
+    }
+}
+
+/// Whether `fmt` names the binary container (v1/v2 — the chunk-parallel
+/// runner and reader backends apply to these only).
+pub fn is_binary_format(fmt: &str) -> bool {
+    matches!(fmt, "bel" | "bel2" | "v2")
+}
+
 impl CommonOpts {
     /// Parse the shared flags out of `flags`.
     pub fn from_flags(flags: &Flags) -> Result<CommonOpts, String> {
@@ -117,6 +136,14 @@ impl CommonOpts {
             None => ReaderKind::Buffered,
             Some(name) => name.parse().map_err(|e| format!("--reader: {e}"))?,
         };
+        // A reader backend on a text input would be silently ignored.
+        if let (Some(_), Some(input)) = (flags.get("reader"), flags.get("input")) {
+            if !is_binary_format(&resolve_format(input, flags.get("format"))) {
+                return Err(format!(
+                    "--reader applies to binary inputs (.bel / TPSBEL2) only, not {input}"
+                ));
+            }
+        }
         let threads = match flags.get("threads") {
             None => ThreadMode::Auto,
             Some(mode) => mode.parse().map_err(|e| format!("--threads: {e}"))?,

@@ -8,7 +8,7 @@ use tps_baselines::{
     HdrfPartitioner, HepPartitioner, MultilevelPartitioner, NePartitioner, RandomPartitioner,
     SnePartitioner,
 };
-use tps_core::job::{ExecPlan, JobSpec, ThreadMode};
+use tps_core::job::{ExecPlan, JobSpec, ReaderKind, ThreadMode};
 use tps_core::partitioner::{PartitionParams, Partitioner, RunReport};
 use tps_core::sink::{AssignmentSink, FileSink, QualitySink, TeeSink};
 use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
@@ -18,9 +18,9 @@ use tps_graph::formats::binary::write_binary_edge_list;
 use tps_graph::formats::text::TextEdgeFile;
 use tps_graph::stream::{discover_info, EdgeStream};
 use tps_graph::types::GraphInfo;
-use tps_io::{EdgeFileFormat, ReaderBackend, SpillSpoolFactory, SpillingFileSink};
+use tps_io::{EdgeFileFormat, SpillSpoolFactory, SpillingFileSink};
 
-use crate::args::{CommonOpts, Flags, COMMON_VALUED};
+use crate::args::{is_binary_format, resolve_format, CommonOpts, Flags, COMMON_VALUED};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -44,7 +44,8 @@ USAGE:
 partition options:
   --input FILE        binary (.bel / TPSBEL2) or text edge list
   --format bel|text   input format (default: by file extension)
-  --reader NAME       buffered | mmap | prefetch   (default: buffered)
+  --reader NAME       buffered | mmap   (default: buffered; binary inputs
+                      only — an explicit --reader on a text input is an error)
   --k N               number of partitions (required)
   --algorithm NAME    2ps-l | 2ps-hdrf | hdrf | dbh | grid | random | greedy |
                       adwise | ne | sne | dne | hep-1 | hep-10 | hep-100 |
@@ -180,7 +181,7 @@ convert options:
 
 info options:
   --input FILE        binary (v1/v2) or text edge list
-  --reader NAME       buffered | mmap | prefetch   (default: buffered)
+  --reader NAME       buffered | mmap   (default: buffered; binary inputs only)
 
 profile options:
   --path FILE         file to read
@@ -193,33 +194,15 @@ report options:
                       dist runs), top counters, and fault timeline
 ";
 
-/// Resolve the input format: the `--format` flag, else the file extension.
-fn resolve_format(path: &str, format: Option<&str>) -> String {
-    match format {
-        Some(f) => f.to_string(),
-        None => Path::new(path)
-            .extension()
-            .and_then(|e| e.to_str())
-            .unwrap_or("bel")
-            .to_string(),
-    }
-}
-
-/// Whether `fmt` names the binary container (v1/v2 — the chunk-parallel
-/// runner and reader backends apply to these only).
-fn is_binary_format(fmt: &str) -> bool {
-    matches!(fmt, "bel" | "bel2" | "v2")
-}
-
 fn open_stream(
     path: &str,
     format: Option<&str>,
-    reader: ReaderBackend,
+    reader: ReaderKind,
 ) -> Result<Box<dyn EdgeStream>, String> {
     let fmt = resolve_format(path, format);
     match fmt.as_str() {
         // v1 and v2 binary files are auto-detected by magic; the reader
-        // backend (buffered / mmap / prefetch) applies to both.
+        // backend (buffered / mmap) applies to both.
         _ if is_binary_format(&fmt) => {
             tps_io::open_edge_stream(path, reader).map_err(|e| format!("{path}: {e}"))
         }
@@ -381,7 +364,7 @@ pub fn partition(args: &[String]) -> i32 {
                 .info();
             JobSpec::path(input)
         } else {
-            let mut s = open_stream(input, common.format.as_deref(), common.reader.into())?;
+            let mut s = open_stream(input, common.format.as_deref(), common.reader)?;
             info = discover_info(&mut *s).map_err(|e| e.to_string())?;
             let s = text_stream.insert(s);
             JobSpec::stream(&mut **s)
@@ -771,7 +754,6 @@ fn dist_coordinator(args: &[String]) -> i32 {
         } else if flags.get("kill-worker").is_some() {
             return Err("--kill-worker does nothing without --kill-at".into());
         }
-        let reader: ReaderBackend = common.reader.into();
         let quiet = flags.has("quiet");
 
         // Workers resolve the path themselves, so ship it absolute.
@@ -839,7 +821,7 @@ fn dist_coordinator(args: &[String]) -> i32 {
         let result = accepted.and_then(|transports| {
             let input_desc = tps_dist::InputDescriptor::Path {
                 path: abs.to_string_lossy().into_owned(),
-                reader,
+                reader: common.reader,
             };
             let name = format!("{}×{workers}w", config.algorithm_name());
             let mut transports = Some(transports);
@@ -1079,7 +1061,7 @@ pub fn info(args: &[String]) -> i32 {
     let run = || -> Result<(), String> {
         let common = CommonOpts::from_flags(&flags)?;
         let input = flags.require("input")?;
-        let mut stream = open_stream(input, common.format.as_deref(), common.reader.into())?;
+        let mut stream = open_stream(input, common.format.as_deref(), common.reader)?;
         let info = discover_info(&mut stream).map_err(|e| e.to_string())?;
         // One more pass for degree statistics.
         let degrees = tps_graph::degree::DegreeTable::compute(&mut stream, info.num_vertices)

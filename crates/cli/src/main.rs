@@ -8,7 +8,7 @@
 //! ```text
 //! tps partition --input graph.bel --k 32 [--algorithm 2ps-l] [--alpha 1.05]
 //!               [--passes 1] [--threads N|auto|serial] [--out DIR]
-//!               [--format bel|text] [--reader buffered|mmap|prefetch]
+//!               [--format bel|text] [--reader buffered|mmap]
 //!               [--spill-budget-mb N]
 //! tps dist coordinator --input graph.bel --k 32 --workers N
 //!               [--listen ADDR] [--dist-local] [--standby N]

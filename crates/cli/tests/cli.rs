@@ -218,7 +218,7 @@ fn convert_and_reader_backends_roundtrip() {
     // Every reader backend partitions both formats with identical metrics.
     let mut lines = Vec::new();
     for input in [&bel, &bel2] {
-        for reader in ["buffered", "mmap", "prefetch"] {
+        for reader in ["buffered", "mmap"] {
             let out = tps()
                 .args(["partition", "--input"])
                 .arg(input)
@@ -364,7 +364,7 @@ fn threads_parallel_is_deterministic_across_formats_and_readers() {
     // run, input format, or reader backend (ranges are edge-indexed).
     let mut lines = Vec::new();
     for input in [&bel, &bel, &bel2] {
-        for reader in ["buffered", "mmap", "prefetch"] {
+        for reader in ["buffered", "mmap"] {
             let out = tps()
                 .args(["partition", "--input"])
                 .arg(input)
@@ -548,6 +548,43 @@ fn dist_rejects_non_two_phase_algorithms_and_bad_worker_counts() {
 
     let out = tps().args(["dist", "frobnicate"]).output().unwrap();
     assert!(!out.status.success());
+}
+
+#[test]
+fn reader_flag_is_checked() {
+    let dir = tmpdir("reader-flag");
+    let txt = dir.join("g.txt");
+    std::fs::write(&txt, "0 1\n1 2\n").unwrap();
+    // A backend on a text input would do nothing, so it is refused.
+    for args in [&["partition", "--k", "2"][..], &["info"]] {
+        let out = tps()
+            .args(args)
+            .arg("--input")
+            .arg(&txt)
+            .args(["--reader", "mmap"])
+            .output()
+            .unwrap();
+        let cmd = args[0];
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--reader applies to binary inputs"),
+            "{cmd}: {err}"
+        );
+    }
+    // Unknown backend names list the valid ones.
+    let out = tps()
+        .args(["partition", "--input", "/nonexistent.bel", "--k", "2"])
+        .args(["--reader", "prefetch"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--reader") && err.contains("buffered | mmap"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

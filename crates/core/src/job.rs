@@ -40,27 +40,28 @@ use crate::runner::RunOutcome;
 use crate::sink::{AssignmentSink, QualitySink, SpoolFactory, TeeSink};
 use crate::two_phase::{ClusterPaging, TwoPhaseConfig, TwoPhasePartitioner};
 
-/// Reader backend for file inputs, named in core so specs can be built
-/// without a `tps-io` dependency (the provider maps it onto its own
-/// backend enum).
+/// Reader backend for file inputs — the one backend enum of the workspace,
+/// named in core so specs can be built without a `tps-io` dependency.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReaderKind {
-    /// Plain buffered sequential reads (the default).
+    /// A `BufReader` over the file (the default): lowest memory, one copy
+    /// per read.
     #[default]
     Buffered,
-    /// Memory-mapped input.
+    /// Memory-map the file and decode in place: zero-copy, fastest on a
+    /// warm page cache, Unix targets only.
     Mmap,
-    /// Background prefetch thread ahead of the consumer.
-    Prefetch,
 }
 
 impl ReaderKind {
+    /// Every backend, for iteration in benches and tests.
+    pub const ALL: [ReaderKind; 2] = [ReaderKind::Buffered, ReaderKind::Mmap];
+
     /// Stable lower-case name (CLI flag value / JSON field).
     pub fn name(self) -> &'static str {
         match self {
             ReaderKind::Buffered => "buffered",
             ReaderKind::Mmap => "mmap",
-            ReaderKind::Prefetch => "prefetch",
         }
     }
 }
@@ -71,10 +72,7 @@ impl std::str::FromStr for ReaderKind {
         match s {
             "buffered" => Ok(ReaderKind::Buffered),
             "mmap" => Ok(ReaderKind::Mmap),
-            "prefetch" => Ok(ReaderKind::Prefetch),
-            other => Err(format!(
-                "unknown reader {other:?} (buffered | mmap | prefetch)"
-            )),
+            other => Err(format!("unknown reader {other:?} (buffered | mmap)")),
         }
     }
 }

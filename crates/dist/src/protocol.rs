@@ -67,10 +67,10 @@
 use std::io;
 
 use tps_clustering::model::Clustering;
+use tps_core::job::ReaderKind;
 use tps_core::two_phase::scoring::HdrfParams;
 use tps_core::two_phase::{AssignCounters, MappingStrategy, RemainingStrategy, TwoPhaseConfig};
 use tps_graph::types::{Edge, PartitionId};
-use tps_io::ReaderBackend;
 
 use crate::wire::{
     corrupt, put_f64, put_string, put_u32, put_u64, put_vec_u32, put_vec_u64, put_word_runs, Reader,
@@ -166,8 +166,9 @@ pub enum InputDescriptor {
     Path {
         /// Absolute path of the input file.
         path: String,
-        /// Reader backend for the worker's range cursors.
-        reader: ReaderBackend,
+        /// Reader backend for the worker's range cursors. On the wire:
+        /// 0 = buffered, 1 = mmap; code 2 is retired and fails to decode.
+        reader: ReaderKind,
     },
 }
 
@@ -727,9 +728,8 @@ fn encode_job(out: &mut Vec<u8>, job: &Job) {
         InputDescriptor::Path { path, reader } => {
             out.push(1);
             out.push(match reader {
-                ReaderBackend::Buffered => 0,
-                ReaderBackend::Mmap => 1,
-                ReaderBackend::Prefetch => 2,
+                ReaderKind::Buffered => 0,
+                ReaderKind::Mmap => 1,
             });
             put_string(out, path);
         }
@@ -774,9 +774,8 @@ fn decode_job(r: &mut Reader) -> io::Result<Job> {
         0 => InputDescriptor::Attached,
         1 => {
             let reader = match r.u8()? {
-                0 => ReaderBackend::Buffered,
-                1 => ReaderBackend::Mmap,
-                2 => ReaderBackend::Prefetch,
+                0 => ReaderKind::Buffered,
+                1 => ReaderKind::Mmap,
                 other => return Err(corrupt(format!("unknown reader backend {other}"))),
             };
             InputDescriptor::Path {
@@ -848,15 +847,17 @@ mod tests {
 
     #[test]
     fn job_roundtrips_both_strategies_and_inputs() {
+        let path_input = |reader| InputDescriptor::Path {
+            path: "/data/graph.bel".into(),
+            reader,
+        };
         for (config, input) in [
             (TwoPhaseConfig::default(), InputDescriptor::Attached),
             (
                 TwoPhaseConfig::hdrf_variant(),
-                InputDescriptor::Path {
-                    path: "/data/graph.bel".into(),
-                    reader: ReaderBackend::Mmap,
-                },
+                path_input(ReaderKind::Buffered),
             ),
+            (TwoPhaseConfig::hdrf_variant(), path_input(ReaderKind::Mmap)),
         ] {
             let job = Job {
                 worker_index: 1,
@@ -1101,7 +1102,7 @@ mod tests {
         let mut hello = Message::Hello { version: 1 }.encode();
         hello.push(0);
         assert!(Message::decode(&hello).is_err(), "trailing byte");
-        let mut job = Message::Job(Job {
+        let attached = Job {
             worker_index: 0,
             num_workers: 1,
             epoch: 0,
@@ -1114,8 +1115,8 @@ mod tests {
             input: InputDescriptor::Attached,
             trace: false,
             mem_budget_mb: 0,
-        })
-        .encode();
+        };
+        let mut job = Message::Job(attached.clone()).encode();
         for cut in [1, 5, job.len() / 2, job.len() - 1] {
             assert!(Message::decode(&job[..cut]).is_err(), "cut {cut}");
         }
@@ -1123,6 +1124,31 @@ mod tests {
         // u32 4 + f64 8 = byte 37).
         job[37] = 9;
         assert!(Message::decode(&job).is_err());
+
+        // A `Path` input whose reader byte names no backend: 2 is the
+        // retired v6 code, 255 was never assigned.
+        let path_job = Message::Job(Job {
+            input: InputDescriptor::Path {
+                path: "/g.bel".into(),
+                reader: ReaderKind::Mmap,
+            },
+            ..attached
+        })
+        .encode();
+        // The reader byte follows the input tag 1; after it come the path
+        // string (u32 length + bytes), the trace byte and the u64 budget.
+        let at = path_job.len() - (4 + "/g.bel".len() + 1 + 8) - 1;
+        assert_eq!(&path_job[at - 1..=at], &[1, 1], "input tag + mmap code");
+        assert!(Message::decode(&path_job).is_ok());
+        for code in [2u8, 255] {
+            let mut bad = path_job.clone();
+            bad[at] = code;
+            let err = Message::decode(&bad).expect_err("retired reader code");
+            assert!(
+                err.to_string().contains("unknown reader backend"),
+                "{code}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -23,15 +23,13 @@
 //!
 //! * `tps_io::MmapEdgeFile` — zero-copy memory-mapped reads of this v1
 //!   format (fastest on a warm page cache).
-//! * `tps_io::PrefetchReader` — double-buffered background-thread reads
-//!   (overlaps I/O with partitioning CPU work).
 //! * `tps_io::v2` — the compressed chunked **TPSBEL2** format: varint-encoded
 //!   edges in checksummed chunks with an index footer, typically 50–70 % of
 //!   the v1 size on skewed graphs, plus order-preserving v1↔v2 converters.
 //!
-//! Pick a backend with `tps_io::open_edge_stream(path, ReaderBackend::…)`
+//! Pick a backend with `tps_io::open_edge_stream(path, ReaderKind::…)`
 //! (auto-detects v1 vs v2 by magic), or from the CLI via
-//! `tps partition --reader buffered|mmap|prefetch`.
+//! `tps partition --reader buffered|mmap`.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -120,7 +118,7 @@ impl BinaryEdgeFile {
 
 /// Read and validate a TPSBEL1 header from `r`, leaving the cursor at the
 /// first edge record. Shared by every v1 reader backend (buffered here,
-/// mmap/prefetch in `tps-io`) so the header layout lives in one place.
+/// mmap in `tps-io`) so the header layout lives in one place.
 pub fn read_header<R: Read>(r: &mut R) -> io::Result<GraphInfo> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;

@@ -8,12 +8,11 @@
 //! * [`v2`] — the `TPSBEL2` compressed chunked format: varint-encoded
 //!   edges in checksummed chunks with a seekable index footer, plus
 //!   order-preserving v1↔v2 converters and chunk-parallel scans.
-//! * [`prefetch`] — a double-buffered background-thread reader that
-//!   overlaps disk reads with partitioning CPU work.
 //! * [`ranged`] — range-addressable sources for chunk-parallel execution:
 //!   every worker thread of `tps-core`'s `ParallelRunner` opens its own
 //!   cursor over a contiguous edge-index range (v1 record seeking, v2
-//!   chunk-index scheduling, optional per-worker prefetch).
+//!   chunk-index scheduling), through a buffered file handle or one
+//!   shared memory mapping.
 //! * [`spill`] — a memory-bounded spilling assignment sink for materialised
 //!   per-partition output at scale.
 //! * [`page`] — a checksummed slotted page store backing `tps-clustering`'s
@@ -21,14 +20,13 @@
 //!   under a `--mem-budget-mb` budget.
 //!
 //! [`open_edge_stream`] is the front door: it sniffs the file format (v1 or
-//! v2 by magic) and applies the requested [`ReaderBackend`]. See
+//! v2 by magic) and applies the requested [`ReaderKind`]. See
 //! `README.md` in this crate for the format layout and a backend-selection
 //! guide.
 
 pub mod mmap;
 pub mod page;
 pub mod partread;
-pub mod prefetch;
 pub mod ranged;
 pub mod spill;
 pub mod spool;
@@ -51,61 +49,13 @@ pub use partread::{load_partition_dir, LoadedPartition};
 
 pub use mmap::MmapEdgeFile;
 pub use page::{FilePageStore, TempPageStoreProvider};
-pub use prefetch::{ChunkSource, PrefetchConfig, PrefetchReader, V1ChunkSource, V2ChunkSource};
 pub use ranged::{
-    open_ranged, open_ranged_backend, open_ranged_mmap, open_ranged_prefetch, RangedMmapV1File,
-    RangedMmapV2File, RangedPrefetchSource, RangedV1File, RangedV2File,
+    open_ranged, open_ranged_backend, open_ranged_mmap, RangedMmapV1File, RangedMmapV2File,
+    RangedV1File, RangedV2File,
 };
 pub use spill::{SpillStats, SpillingFileSink};
 pub use spool::{SpillSpool, SpillSpoolFactory};
 pub use v2::{convert_v1_to_v2, convert_v2_to_v1, write_v2_edge_list, MmapV2EdgeFile, V2EdgeFile};
-
-/// How to read an edge file from disk.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ReaderBackend {
-    /// A `BufReader` over the file — the seed's original path; lowest
-    /// memory, one copy per read.
-    #[default]
-    Buffered,
-    /// Memory-map the file and decode in place (zero-copy; fastest on warm
-    /// page cache, requires a Unix target).
-    Mmap,
-    /// Background-thread double buffering — overlaps I/O with CPU work;
-    /// best when the consumer does real work per edge on a cold cache.
-    Prefetch,
-}
-
-impl ReaderBackend {
-    /// All backends, for iteration in benches/tests.
-    pub const ALL: [ReaderBackend; 3] = [
-        ReaderBackend::Buffered,
-        ReaderBackend::Mmap,
-        ReaderBackend::Prefetch,
-    ];
-
-    /// The CLI flag spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReaderBackend::Buffered => "buffered",
-            ReaderBackend::Mmap => "mmap",
-            ReaderBackend::Prefetch => "prefetch",
-        }
-    }
-}
-
-impl std::str::FromStr for ReaderBackend {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "buffered" | "bufreader" => Ok(ReaderBackend::Buffered),
-            "mmap" => Ok(ReaderBackend::Mmap),
-            "prefetch" => Ok(ReaderBackend::Prefetch),
-            other => Err(format!(
-                "unknown reader backend {other:?} (buffered|mmap|prefetch)"
-            )),
-        }
-    }
-}
 
 /// On-disk edge-list container format, sniffed from the magic bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,30 +86,14 @@ pub fn detect_format<P: AsRef<Path>>(path: P) -> io::Result<EdgeFileFormat> {
 /// Open `path` (v1 or v2, auto-detected) with the requested backend.
 pub fn open_edge_stream<P: AsRef<Path>>(
     path: P,
-    backend: ReaderBackend,
+    reader: ReaderKind,
 ) -> io::Result<Box<dyn EdgeStream>> {
     let path = path.as_ref();
-    match (detect_format(path)?, backend) {
-        (EdgeFileFormat::V1, ReaderBackend::Buffered) => Ok(Box::new(BinaryEdgeFile::open(path)?)),
-        (EdgeFileFormat::V1, ReaderBackend::Mmap) => Ok(Box::new(MmapEdgeFile::open(path)?)),
-        (EdgeFileFormat::V1, ReaderBackend::Prefetch) => {
-            Ok(Box::new(PrefetchReader::open_v1(path)?))
-        }
-        (EdgeFileFormat::V2, ReaderBackend::Buffered) => Ok(Box::new(V2EdgeFile::open(path)?)),
-        (EdgeFileFormat::V2, ReaderBackend::Mmap) => Ok(Box::new(MmapV2EdgeFile::open(path)?)),
-        (EdgeFileFormat::V2, ReaderBackend::Prefetch) => {
-            Ok(Box::new(PrefetchReader::open_v2(path)?))
-        }
-    }
-}
-
-impl From<ReaderKind> for ReaderBackend {
-    fn from(kind: ReaderKind) -> Self {
-        match kind {
-            ReaderKind::Buffered => ReaderBackend::Buffered,
-            ReaderKind::Mmap => ReaderBackend::Mmap,
-            ReaderKind::Prefetch => ReaderBackend::Prefetch,
-        }
+    match (detect_format(path)?, reader) {
+        (EdgeFileFormat::V1, ReaderKind::Buffered) => Ok(Box::new(BinaryEdgeFile::open(path)?)),
+        (EdgeFileFormat::V1, ReaderKind::Mmap) => Ok(Box::new(MmapEdgeFile::open(path)?)),
+        (EdgeFileFormat::V2, ReaderKind::Buffered) => Ok(Box::new(V2EdgeFile::open(path)?)),
+        (EdgeFileFormat::V2, ReaderKind::Mmap) => Ok(Box::new(MmapV2EdgeFile::open(path)?)),
     }
 }
 
@@ -171,7 +105,7 @@ pub struct FileInput;
 
 impl InputProvider for FileInput {
     fn open_stream(&self, path: &Path, reader: ReaderKind) -> io::Result<Box<dyn EdgeStream>> {
-        open_edge_stream(path, reader.into())
+        open_edge_stream(path, reader)
     }
 
     fn open_ranged(
@@ -179,7 +113,7 @@ impl InputProvider for FileInput {
         path: &Path,
         reader: ReaderKind,
     ) -> io::Result<Box<dyn RangedEdgeSource>> {
-        ranged::open_ranged_backend(path, reader.into())
+        ranged::open_ranged_backend(path, reader)
     }
 
     fn spool_factory(
@@ -221,19 +155,11 @@ mod tests {
 
     #[test]
     fn backend_parsing() {
-        assert_eq!(
-            "mmap".parse::<ReaderBackend>().unwrap(),
-            ReaderBackend::Mmap
-        );
-        assert_eq!(
-            "Buffered".parse::<ReaderBackend>().unwrap(),
-            ReaderBackend::Buffered
-        );
-        assert_eq!(
-            "prefetch".parse::<ReaderBackend>().unwrap(),
-            ReaderBackend::Prefetch
-        );
-        assert!("spinny-disk".parse::<ReaderBackend>().is_err());
+        for reader in ReaderKind::ALL {
+            assert_eq!(reader.name().parse::<ReaderKind>().unwrap(), reader);
+        }
+        assert!("spinny-disk".parse::<ReaderKind>().is_err());
+        assert!("Buffered".parse::<ReaderKind>().is_err());
     }
 
     #[test]
@@ -249,7 +175,7 @@ mod tests {
         write_v2_edge_list(&v2_path, 4096, edges.iter().copied(), 700).unwrap();
 
         for path in [&v1_path, &v2_path] {
-            for backend in ReaderBackend::ALL {
+            for backend in ReaderKind::ALL {
                 let mut s = open_edge_stream(path, backend).unwrap();
                 let mut seen = Vec::new();
                 for_each_edge(&mut s, |e| seen.push(e)).unwrap();

@@ -148,6 +148,44 @@ pub(crate) fn edge_at(payload: &[u8], i: usize) -> Edge {
     }
 }
 
+/// Parse the v1 header at the front of a mapped file and check its edge
+/// count against the mapping's length.
+pub(crate) fn read_mapped_v1_header(bytes: &[u8]) -> io::Result<GraphInfo> {
+    let mut cursor = bytes;
+    let info = tps_graph::formats::binary::read_header(&mut cursor)?;
+    // The edge count is untrusted file input: a corrupt header must
+    // become an error here, not a wrapped multiply and a later panic.
+    let need = info
+        .num_edges
+        .checked_mul(EDGE_RECORD_LEN)
+        .and_then(|payload| payload.checked_add(HEADER_LEN))
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "header promises an impossible edge count {}",
+                    info.num_edges
+                ),
+            )
+        })?;
+    if (bytes.len() as u64) < need {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("file holds {} bytes, header promises {need}", bytes.len()),
+        ));
+    }
+    Ok(info)
+}
+
+/// The edge records of a mapped v1 file whose header
+/// [`read_mapped_v1_header`] accepted as `info`.
+#[inline]
+pub(crate) fn v1_records(bytes: &[u8], info: GraphInfo) -> &[u8] {
+    let start = HEADER_LEN as usize;
+    let len = (info.num_edges * EDGE_RECORD_LEN) as usize;
+    &bytes[start..start + len]
+}
+
 /// A zero-copy [`EdgeStream`] over a memory-mapped TPSBEL1 file.
 pub struct MmapEdgeFile {
     path: PathBuf,
@@ -162,30 +200,7 @@ impl MmapEdgeFile {
         let path = path.as_ref().to_path_buf();
         let file = File::open(&path)?;
         let map = Mmap::map(&file)?;
-        let bytes = map.as_slice();
-        let mut cursor = bytes;
-        let info = tps_graph::formats::binary::read_header(&mut cursor)?;
-        // The edge count is untrusted file input: a corrupt header must
-        // become an error here, not a wrapped multiply and a later panic.
-        let need = info
-            .num_edges
-            .checked_mul(EDGE_RECORD_LEN)
-            .and_then(|payload| payload.checked_add(HEADER_LEN))
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "header promises an impossible edge count {}",
-                        info.num_edges
-                    ),
-                )
-            })?;
-        if (bytes.len() as u64) < need {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("file holds {} bytes, header promises {need}", bytes.len()),
-            ));
-        }
+        let info = read_mapped_v1_header(map.as_slice())?;
         Ok(MmapEdgeFile {
             path,
             map,
@@ -206,9 +221,7 @@ impl MmapEdgeFile {
 
     /// The raw edge records (zero-copy view past the header).
     pub fn edge_bytes(&self) -> &[u8] {
-        let start = HEADER_LEN as usize;
-        let len = (self.info.num_edges * EDGE_RECORD_LEN) as usize;
-        &self.map.as_slice()[start..start + len]
+        v1_records(self.map.as_slice(), self.info)
     }
 
     /// Random access to edge `i` without advancing the stream.
@@ -247,6 +260,7 @@ impl EdgeStream for MmapEdgeFile {
 mod tests {
     use super::*;
     use tps_graph::formats::binary::{write_binary_edge_list, MAGIC};
+    use tps_graph::ranged::RangedEdgeSource;
     use tps_graph::stream::for_each_edge;
 
     fn tmpfile(tag: &str) -> PathBuf {
@@ -292,21 +306,52 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic_and_truncation() {
+        // Both v1 mmap openers share one header check.
+        fn open_both(path: &Path) -> [io::Result<GraphInfo>; 2] {
+            [
+                MmapEdgeFile::open(path).map(|m| m.info()),
+                crate::ranged::RangedMmapV1File::open(path).map(|m| m.info()),
+            ]
+        }
+        fn header(num_edges: u64, records: usize) -> Vec<u8> {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&MAGIC);
+            bytes.extend_from_slice(&4u64.to_le_bytes());
+            bytes.extend_from_slice(&num_edges.to_le_bytes());
+            bytes.extend_from_slice(&vec![0u8; 8 * records]);
+            bytes
+        }
+
         let path = tmpfile("bad");
         std::fs::write(&path, b"NOTMAGIC________________").unwrap();
-        assert!(MmapEdgeFile::open(&path).is_err());
+        for r in open_both(&path) {
+            assert!(r.is_err());
+        }
 
         // Valid header promising more edges than the file holds.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&4u64.to_le_bytes());
-        bytes.extend_from_slice(&100u64.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 16]); // only 2 edges present
-        std::fs::write(&path, &bytes).unwrap();
-        let err = MmapEdgeFile::open(&path)
-            .err()
-            .expect("truncated file must fail");
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        std::fs::write(&path, header(100, 2)).unwrap();
+        for r in open_both(&path) {
+            let err = r.expect_err("truncated file must fail");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            assert_eq!(err.to_string(), "file holds 40 bytes, header promises 824");
+        }
+
+        // An edge count whose byte size overflows u64.
+        std::fs::write(&path, header(u64::MAX, 2)).unwrap();
+        for r in open_both(&path) {
+            let err = r.expect_err("absurd edge count must fail");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(
+                err.to_string(),
+                format!("header promises an impossible edge count {}", u64::MAX)
+            );
+        }
+
+        // The exact size opens through both.
+        std::fs::write(&path, header(2, 2)).unwrap();
+        for r in open_both(&path) {
+            assert_eq!(r.unwrap().num_edges, 2);
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -18,23 +18,25 @@
 //! parallel partitioning run makes identical per-thread decisions whether
 //! the graph lives in memory, in a v1 file or in a v2 file.
 //!
-//! [`open_ranged`] is the front door (format sniffing via
-//! [`crate::detect_format`]). [`RangedPrefetchSource`] wraps either source
-//! so each worker's range stream is additionally double-buffered by a
-//! background reader thread ([`crate::prefetch`]), overlapping chunk decode
-//! and disk I/O with partitioning CPU per worker.
+//! Each format has a buffered source (one `BufReader<File>` per cursor) and
+//! a memory-mapped one (every cursor reads one shared read-only mapping).
+//! Both v2 sources hand out the same range cursor; it differs only in how
+//! it fetches the bytes of the chunk it decodes next. [`open_ranged`] is the
+//! front door (format sniffing via [`crate::detect_format`]);
+//! [`open_ranged_backend`] picks the source for a [`ReaderKind`].
 
 use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
+use tps_core::job::ReaderKind;
 use tps_graph::formats::binary as v1;
 use tps_graph::ranged::{check_range, RangedEdgeSource};
 use tps_graph::stream::EdgeStream;
 use tps_graph::types::{Edge, GraphInfo};
 
-use crate::prefetch::{ChunkSource, PrefetchConfig, PrefetchReader};
-use crate::v2::{read_chunk_at, read_layout, ChunkMeta, V2Layout};
+use crate::mmap::{edge_at, read_mapped_v1_header, v1_records, Mmap};
+use crate::v2::{decode_chunk_slice, read_chunk_at, read_layout, ChunkMeta, V2Layout};
 use crate::EdgeFileFormat;
 
 /// A [`RangedEdgeSource`] over a v1 fixed-width `.bel` file.
@@ -51,8 +53,14 @@ impl RangedV1File {
         let info = v1::read_header(&mut file)?;
         Ok(RangedV1File { path, info })
     }
+}
 
-    fn open_range_stream(&self, start: u64, end: u64) -> io::Result<V1RangeStream> {
+impl RangedEdgeSource for RangedV1File {
+    fn info(&self) -> GraphInfo {
+        self.info
+    }
+
+    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
         check_range(start, end, self.info.num_edges)?;
         let file = File::open(&self.path)?;
         let mut stream = V1RangeStream {
@@ -62,17 +70,7 @@ impl RangedV1File {
             pos: start,
         };
         stream.seek_to_start()?;
-        Ok(stream)
-    }
-}
-
-impl RangedEdgeSource for RangedV1File {
-    fn info(&self) -> GraphInfo {
-        self.info
-    }
-
-    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
-        Ok(Box::new(self.open_range_stream(start, end)?))
+        Ok(Box::new(stream))
     }
 }
 
@@ -116,178 +114,6 @@ impl EdgeStream for V1RangeStream {
     }
 }
 
-/// A [`RangedEdgeSource`] over a v2 chunked file, scheduling chunk ranges
-/// off the shared index footer.
-pub struct RangedV2File {
-    path: PathBuf,
-    layout: V2Layout,
-    /// `cum[i]` = edges in chunks `0..i`; `cum[num_chunks]` = `|E|`.
-    cum: Vec<u64>,
-}
-
-impl RangedV2File {
-    /// Open `path`, validating header, index and trailer.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = File::open(&path)?;
-        let layout = read_layout(&mut file)?;
-        let mut cum = Vec::with_capacity(layout.chunks.len() + 1);
-        let mut total = 0u64;
-        cum.push(0);
-        for c in &layout.chunks {
-            total += c.edge_count as u64;
-            cum.push(total);
-        }
-        Ok(RangedV2File { path, layout, cum })
-    }
-
-    /// The chunk directory (shared, read-only — workers schedule off it).
-    pub fn chunks(&self) -> &[ChunkMeta] {
-        &self.layout.chunks
-    }
-
-    fn open_range_with<C, U>(
-        &self,
-        chunks: C,
-        cum: U,
-        start: u64,
-        end: u64,
-    ) -> io::Result<V2RangeStream<C, U>>
-    where
-        C: AsRef<[ChunkMeta]>,
-        U: AsRef<[u64]>,
-    {
-        check_range(start, end, self.layout.info.num_edges)?;
-        let file = File::open(&self.path)?;
-        let verified = vec![false; chunks.as_ref().len()];
-        let mut stream = V2RangeStream {
-            reader: BufReader::with_capacity(1 << 16, file),
-            chunks,
-            cum,
-            start,
-            end,
-            next_chunk: 0,
-            emitted: 0,
-            scratch: Vec::new(),
-            buf: Vec::new(),
-            buf_pos: 0,
-            verified,
-        };
-        stream.rewind()?;
-        Ok(stream)
-    }
-}
-
-impl RangedEdgeSource for RangedV2File {
-    fn info(&self) -> GraphInfo {
-        self.layout.info
-    }
-
-    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
-        Ok(Box::new(self.open_range_with(
-            self.layout.chunks.as_slice(),
-            self.cum.as_slice(),
-            start,
-            end,
-        )?))
-    }
-}
-
-/// A stream over edges `[start, end)` of a v2 file, decoding whole chunks
-/// and skipping the intra-chunk prefix. Generic over borrowed or owned
-/// chunk-directory storage (owned streams can migrate to a prefetch
-/// thread).
-struct V2RangeStream<C, U> {
-    reader: BufReader<File>,
-    chunks: C,
-    cum: U,
-    start: u64,
-    end: u64,
-    /// Next chunk index to decode sequentially.
-    next_chunk: usize,
-    /// Edges already handed out of this range.
-    emitted: u64,
-    scratch: Vec<u8>,
-    buf: Vec<Edge>,
-    buf_pos: usize,
-    /// Chunks whose checksum this cursor already verified — multi-pass
-    /// workers (`reset` + re-stream) decode proven chunks checksum-free.
-    verified: Vec<bool>,
-}
-
-impl<C: AsRef<[ChunkMeta]>, U: AsRef<[u64]>> V2RangeStream<C, U> {
-    /// Position at the chunk containing `start` and skip the intra-chunk
-    /// prefix (decoding is chunk-at-a-time; varints cannot be entered
-    /// mid-stream).
-    fn rewind(&mut self) -> io::Result<()> {
-        self.emitted = 0;
-        self.buf.clear();
-        self.buf_pos = 0;
-        if self.start >= self.end || self.chunks.as_ref().is_empty() {
-            return Ok(());
-        }
-        // Last chunk whose cumulative start is <= `start`.
-        self.next_chunk = self
-            .cum
-            .as_ref()
-            .partition_point(|&c| c <= self.start)
-            .saturating_sub(1);
-        self.reader.seek(SeekFrom::Start(
-            self.chunks.as_ref()[self.next_chunk].offset,
-        ))?;
-        let skip = self.start - self.cum.as_ref()[self.next_chunk];
-        self.decode_next_chunk()?;
-        self.buf_pos = skip as usize;
-        Ok(())
-    }
-
-    /// Decode chunk `next_chunk` into `buf` and advance the counter.
-    fn decode_next_chunk(&mut self) -> io::Result<()> {
-        let meta = self.chunks.as_ref()[self.next_chunk];
-        self.buf.clear();
-        self.buf_pos = 0;
-        let verify = !self.verified[self.next_chunk];
-        let mut buf = std::mem::take(&mut self.buf);
-        let r = read_chunk_at(&mut self.reader, meta, verify, &mut self.scratch, &mut buf);
-        self.buf = buf;
-        r?;
-        self.verified[self.next_chunk] = true;
-        self.next_chunk += 1;
-        Ok(())
-    }
-}
-
-impl<C: AsRef<[ChunkMeta]>, U: AsRef<[u64]>> EdgeStream for V2RangeStream<C, U> {
-    fn reset(&mut self) -> io::Result<()> {
-        self.rewind()
-    }
-
-    fn next_edge(&mut self) -> io::Result<Option<Edge>> {
-        loop {
-            if self.emitted >= self.end - self.start {
-                return Ok(None);
-            }
-            if self.buf_pos < self.buf.len() {
-                let e = self.buf[self.buf_pos];
-                self.buf_pos += 1;
-                self.emitted += 1;
-                return Ok(Some(e));
-            }
-            if self.next_chunk >= self.chunks.as_ref().len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "v2 chunk directory exhausted before range end",
-                ));
-            }
-            self.decode_next_chunk()?;
-        }
-    }
-
-    fn len_hint(&self) -> Option<u64> {
-        Some(self.end - self.start)
-    }
-}
-
 /// A [`RangedEdgeSource`] over a memory-mapped v1 `.bel` file: one shared
 /// read-only mapping, zero-copy range cursors with per-worker offsets.
 ///
@@ -298,7 +124,7 @@ impl<C: AsRef<[ChunkMeta]>, U: AsRef<[u64]>> EdgeStream for V2RangeStream<C, U> 
 /// readers disappears); on a cold cache the kernel's readahead serves
 /// interleaved workers nearly as well as dedicated cursors.
 pub struct RangedMmapV1File {
-    map: crate::mmap::Mmap,
+    map: Mmap,
     info: GraphInfo,
 }
 
@@ -306,41 +132,9 @@ impl RangedMmapV1File {
     /// Map `path` and validate the v1 header.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let file = File::open(path.as_ref())?;
-        let map = crate::mmap::Mmap::map(&file)?;
-        let mut cursor = map.as_slice();
-        let info = v1::read_header(&mut cursor)?;
-        // The edge count is untrusted file input: a corrupt header must
-        // become an error here, not a wrapped multiply and a later panic.
-        let need = info
-            .num_edges
-            .checked_mul(v1::EDGE_RECORD_LEN)
-            .and_then(|payload| payload.checked_add(v1::HEADER_LEN))
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "header promises an impossible edge count {}",
-                        info.num_edges
-                    ),
-                )
-            })?;
-        if (map.as_slice().len() as u64) < need {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!(
-                    "file holds {} bytes, header promises {need}",
-                    map.as_slice().len()
-                ),
-            ));
-        }
+        let map = Mmap::map(&file)?;
+        let info = read_mapped_v1_header(map.as_slice())?;
         Ok(RangedMmapV1File { map, info })
-    }
-
-    /// The raw edge records (shared zero-copy view past the header).
-    fn payload(&self) -> &[u8] {
-        let start = v1::HEADER_LEN as usize;
-        let len = (self.info.num_edges * v1::EDGE_RECORD_LEN) as usize;
-        &self.map.as_slice()[start..start + len]
     }
 }
 
@@ -352,7 +146,7 @@ impl RangedEdgeSource for RangedMmapV1File {
     fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
         check_range(start, end, self.info.num_edges)?;
         Ok(Box::new(MmapV1RangeStream {
-            payload: self.payload(),
+            payload: v1_records(self.map.as_slice(), self.info),
             start,
             end,
             pos: start,
@@ -379,7 +173,7 @@ impl EdgeStream for MmapV1RangeStream<'_> {
         if self.pos >= self.end {
             return Ok(None);
         }
-        let e = crate::mmap::edge_at(self.payload, self.pos as usize);
+        let e = edge_at(self.payload, self.pos as usize);
         self.pos += 1;
         Ok(Some(e))
     }
@@ -389,23 +183,19 @@ impl EdgeStream for MmapV1RangeStream<'_> {
     }
 }
 
-/// A [`RangedEdgeSource`] over a memory-mapped v2 chunked file: chunk-index
-/// scheduling as in [`RangedV2File`], but chunks are decoded straight out of
-/// the shared mapping (checksums still verified) instead of through
-/// per-worker file handles.
-pub struct RangedMmapV2File {
-    map: crate::mmap::Mmap,
+/// The validated layout of a v2 file plus its edge prefix sums: the shared
+/// read-only directory every v2 range cursor schedules off.
+struct V2Index {
     layout: V2Layout,
     /// `cum[i]` = edges in chunks `0..i`; `cum[num_chunks]` = `|E|`.
     cum: Vec<u64>,
 }
 
-impl RangedMmapV2File {
-    /// Map `path`, validating header, index and trailer.
-    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let mut file = File::open(path.as_ref())?;
-        let layout = read_layout(&mut file)?;
-        let map = crate::mmap::Mmap::map(&file)?;
+impl V2Index {
+    /// Validate header, index and trailer of `file` and build the prefix
+    /// sums.
+    fn read(file: &mut File) -> io::Result<Self> {
+        let layout = read_layout(file)?;
         let mut cum = Vec::with_capacity(layout.chunks.len() + 1);
         let mut total = 0u64;
         cum.push(0);
@@ -413,21 +203,20 @@ impl RangedMmapV2File {
             total += c.edge_count as u64;
             cum.push(total);
         }
-        Ok(RangedMmapV2File { map, layout, cum })
-    }
-}
-
-impl RangedEdgeSource for RangedMmapV2File {
-    fn info(&self) -> GraphInfo {
-        self.layout.info
+        Ok(V2Index { layout, cum })
     }
 
-    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
-        check_range(start, end, self.layout.info.num_edges)?;
-        let mut stream = MmapV2RangeStream {
-            bytes: self.map.as_slice(),
+    /// A cursor over edges `[start, end)` reading chunk bytes from `bytes`.
+    fn open_range<'a>(
+        &'a self,
+        bytes: ChunkBytes<'a>,
+        start: u64,
+        end: u64,
+    ) -> io::Result<Box<dyn EdgeStream + 'a>> {
+        let mut stream = V2RangeStream {
             chunks: &self.layout.chunks,
             cum: &self.cum,
+            bytes,
             start,
             end,
             next_chunk: 0,
@@ -441,24 +230,110 @@ impl RangedEdgeSource for RangedMmapV2File {
     }
 }
 
-/// A cursor over edges `[start, end)` of a shared v2 mapping, decoding whole
-/// chunks from the mapped bytes and skipping the intra-chunk prefix.
-struct MmapV2RangeStream<'a> {
-    bytes: &'a [u8],
+/// A [`RangedEdgeSource`] over a v2 chunked file, scheduling chunk ranges
+/// off the shared index footer; each range cursor reads through its own
+/// buffered file handle.
+pub struct RangedV2File {
+    path: PathBuf,
+    index: V2Index,
+}
+
+impl RangedV2File {
+    /// Open `path`, validating header, index and trailer.
+    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
+        let path = path.as_ref().to_path_buf();
+        let index = V2Index::read(&mut File::open(&path)?)?;
+        Ok(RangedV2File { path, index })
+    }
+
+    /// The chunk directory (shared, read-only — workers schedule off it).
+    pub fn chunks(&self) -> &[ChunkMeta] {
+        &self.index.layout.chunks
+    }
+}
+
+impl RangedEdgeSource for RangedV2File {
+    fn info(&self) -> GraphInfo {
+        self.index.layout.info
+    }
+
+    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
+        check_range(start, end, self.index.layout.info.num_edges)?;
+        let reader = BufReader::with_capacity(1 << 16, File::open(&self.path)?);
+        let bytes = ChunkBytes::File {
+            reader,
+            scratch: Vec::new(),
+        };
+        self.index.open_range(bytes, start, end)
+    }
+}
+
+/// A [`RangedEdgeSource`] over a memory-mapped v2 chunked file: chunk-index
+/// scheduling as in [`RangedV2File`], but chunks are decoded straight out of
+/// the shared mapping (checksums still verified) instead of through
+/// per-worker file handles.
+pub struct RangedMmapV2File {
+    map: Mmap,
+    index: V2Index,
+}
+
+impl RangedMmapV2File {
+    /// Map `path`, validating header, index and trailer.
+    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
+        let mut file = File::open(path.as_ref())?;
+        let index = V2Index::read(&mut file)?;
+        let map = Mmap::map(&file)?;
+        Ok(RangedMmapV2File { map, index })
+    }
+}
+
+impl RangedEdgeSource for RangedMmapV2File {
+    fn info(&self) -> GraphInfo {
+        self.index.layout.info
+    }
+
+    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
+        check_range(start, end, self.index.layout.info.num_edges)?;
+        let bytes = ChunkBytes::Mapped(self.map.as_slice());
+        self.index.open_range(bytes, start, end)
+    }
+}
+
+/// Where a v2 range cursor fetches the bytes of the chunk it decodes next.
+enum ChunkBytes<'a> {
+    /// The cursor's own buffered file handle, kept positioned at the next
+    /// chunk; `scratch` holds one chunk payload.
+    File {
+        reader: BufReader<File>,
+        scratch: Vec<u8>,
+    },
+    /// The source's shared read-only mapping of the whole file.
+    Mapped(&'a [u8]),
+}
+
+/// A stream over edges `[start, end)` of a v2 file, decoding whole chunks
+/// and skipping the intra-chunk prefix.
+struct V2RangeStream<'a> {
     chunks: &'a [ChunkMeta],
     cum: &'a [u64],
+    bytes: ChunkBytes<'a>,
     start: u64,
     end: u64,
+    /// Next chunk index to decode sequentially.
     next_chunk: usize,
+    /// Edges already handed out of this range.
     emitted: u64,
     buf: Vec<Edge>,
     buf_pos: usize,
-    /// Chunks whose checksum this cursor already verified (see
-    /// [`V2RangeStream::verified`]).
+    /// Chunks whose checksum this cursor already verified — multi-pass
+    /// workers (`reset` + re-stream) decode proven chunks checksum-free.
     verified: Vec<bool>,
 }
 
-impl MmapV2RangeStream<'_> {
+impl V2RangeStream<'_> {
+    /// Position at the chunk containing `start` and skip the intra-chunk
+    /// prefix (decoding is chunk-at-a-time; varints cannot be entered
+    /// mid-stream).
     fn rewind(&mut self) -> io::Result<()> {
         self.emitted = 0;
         self.buf.clear();
@@ -466,33 +341,39 @@ impl MmapV2RangeStream<'_> {
         if self.start >= self.end || self.chunks.is_empty() {
             return Ok(());
         }
+        // Last chunk whose cumulative start is <= `start`.
         self.next_chunk = self
             .cum
             .partition_point(|&c| c <= self.start)
             .saturating_sub(1);
+        if let ChunkBytes::File { reader, .. } = &mut self.bytes {
+            reader.seek(SeekFrom::Start(self.chunks[self.next_chunk].offset))?;
+        }
         let skip = self.start - self.cum[self.next_chunk];
         self.decode_next_chunk()?;
         self.buf_pos = skip as usize;
         Ok(())
     }
 
+    /// Decode chunk `next_chunk` into `buf` and advance the counter.
     fn decode_next_chunk(&mut self) -> io::Result<()> {
+        let meta = self.chunks[self.next_chunk];
         self.buf.clear();
         self.buf_pos = 0;
         let verify = !self.verified[self.next_chunk];
-        crate::v2::decode_chunk_slice(
-            self.bytes,
-            self.chunks[self.next_chunk],
-            verify,
-            &mut self.buf,
-        )?;
+        match &mut self.bytes {
+            ChunkBytes::File { reader, scratch } => {
+                read_chunk_at(reader, meta, verify, scratch, &mut self.buf)?
+            }
+            ChunkBytes::Mapped(bytes) => decode_chunk_slice(bytes, meta, verify, &mut self.buf)?,
+        }
         self.verified[self.next_chunk] = true;
         self.next_chunk += 1;
         Ok(())
     }
 }
 
-impl EdgeStream for MmapV2RangeStream<'_> {
+impl EdgeStream for V2RangeStream<'_> {
     fn reset(&mut self) -> io::Result<()> {
         self.rewind()
     }
@@ -542,126 +423,15 @@ pub fn open_ranged_mmap<P: AsRef<Path>>(path: P) -> io::Result<Box<dyn RangedEdg
     }
 }
 
-/// Open `path` as a ranged source with the requested [`ReaderBackend`](crate::ReaderBackend) —
-/// the parallel/distributed analogue of [`crate::open_edge_stream`].
+/// Open `path` as a ranged source with the requested [`ReaderKind`] — the
+/// parallel/distributed analogue of [`crate::open_edge_stream`].
 pub fn open_ranged_backend<P: AsRef<Path>>(
     path: P,
-    backend: crate::ReaderBackend,
+    reader: ReaderKind,
 ) -> io::Result<Box<dyn RangedEdgeSource>> {
-    match backend {
-        crate::ReaderBackend::Buffered => open_ranged(path),
-        crate::ReaderBackend::Mmap => open_ranged_mmap(path),
-        crate::ReaderBackend::Prefetch => open_ranged_prefetch(path),
-    }
-}
-
-/// Like [`open_ranged`], with every range stream double-buffered by a
-/// background prefetch thread.
-pub fn open_ranged_prefetch<P: AsRef<Path>>(path: P) -> io::Result<Box<dyn RangedEdgeSource>> {
-    let path = path.as_ref();
-    match crate::detect_format(path)? {
-        EdgeFileFormat::V1 => Ok(Box::new(RangedPrefetchSource::new(RangedV1File::open(
-            path,
-        )?))),
-        EdgeFileFormat::V2 => Ok(Box::new(RangedPrefetchSource::new(RangedV2File::open(
-            path,
-        )?))),
-    }
-}
-
-/// Sources that can open an *owned* (`'static` + [`Send`]) range stream, as
-/// required to move the stream onto a prefetch worker thread.
-pub trait RangedReopen {
-    /// Open `[start, end)` as an owned stream (fresh file handle, owned
-    /// metadata).
-    fn open_range_owned(
-        &self,
-        start: u64,
-        end: u64,
-    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>>;
-}
-
-impl RangedReopen for RangedV1File {
-    fn open_range_owned(
-        &self,
-        start: u64,
-        end: u64,
-    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
-        Ok(Box::new(self.open_range_stream(start, end)?))
-    }
-}
-
-impl RangedReopen for RangedV2File {
-    fn open_range_owned(
-        &self,
-        start: u64,
-        end: u64,
-    ) -> io::Result<Box<dyn EdgeStream + Send + 'static>> {
-        Ok(Box::new(self.open_range_with(
-            self.layout.chunks.clone(),
-            self.cum.clone(),
-            start,
-            end,
-        )?))
-    }
-}
-
-/// Wraps a ranged source so each range stream is served by a background
-/// prefetch thread (double-buffered, see [`crate::prefetch`]): chunk decode
-/// and disk reads overlap with the consumer's partitioning work, per worker.
-pub struct RangedPrefetchSource<S> {
-    inner: S,
-    config: PrefetchConfig,
-}
-
-impl<S: RangedEdgeSource + RangedReopen> RangedPrefetchSource<S> {
-    /// Wrap `inner` with the default prefetch configuration.
-    pub fn new(inner: S) -> Self {
-        RangedPrefetchSource {
-            inner,
-            config: PrefetchConfig::default(),
-        }
-    }
-
-    /// Wrap `inner` with an explicit prefetch configuration.
-    pub fn with_config(inner: S, config: PrefetchConfig) -> Self {
-        RangedPrefetchSource { inner, config }
-    }
-}
-
-/// Adapts one owned range stream into a [`ChunkSource`] feeding a prefetch
-/// worker.
-struct RangeChunkSource {
-    stream: Box<dyn EdgeStream + Send + 'static>,
-}
-
-impl ChunkSource for RangeChunkSource {
-    fn reset(&mut self) -> io::Result<()> {
-        self.stream.reset()
-    }
-
-    fn fill_chunk(&mut self, buf: &mut Vec<Edge>, max_edges: usize) -> io::Result<usize> {
-        while buf.len() < max_edges {
-            match self.stream.next_edge()? {
-                Some(e) => buf.push(e),
-                None => break,
-            }
-        }
-        Ok(buf.len())
-    }
-}
-
-impl<S: RangedEdgeSource + RangedReopen> RangedEdgeSource for RangedPrefetchSource<S> {
-    fn info(&self) -> GraphInfo {
-        self.inner.info()
-    }
-
-    fn open_range(&self, start: u64, end: u64) -> io::Result<Box<dyn EdgeStream + '_>> {
-        let stream = self.inner.open_range_owned(start, end)?;
-        Ok(Box::new(PrefetchReader::new(
-            RangeChunkSource { stream },
-            self.config,
-        )))
+    match reader {
+        ReaderKind::Buffered => open_ranged(path),
+        ReaderKind::Mmap => open_ranged_mmap(path),
     }
 }
 
@@ -761,26 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_wrapped_ranges_match_plain_ranges() {
-        let es = edges(8_000);
-        let p1 = tmpfile("pf", "bel");
-        let p2 = tmpfile("pf", "bel2");
-        write_binary_edge_list(&p1, 4096, es.iter().copied()).unwrap();
-        crate::v2::write_v2_edge_list(&p2, 4096, es.iter().copied(), 1000).unwrap();
-
-        let v1 = RangedPrefetchSource::new(RangedV1File::open(&p1).unwrap());
-        let v2 = RangedPrefetchSource::new(RangedV2File::open(&p2).unwrap());
-        for (a, b) in split_even(8_000, 4) {
-            let mut s1 = v1.open_range(a, b).unwrap();
-            let mut s2 = v2.open_range(a, b).unwrap();
-            assert_eq!(collect(&mut *s1), &es[a as usize..b as usize]);
-            assert_eq!(collect(&mut *s2), &es[a as usize..b as usize]);
-        }
-        std::fs::remove_file(&p1).ok();
-        std::fs::remove_file(&p2).ok();
-    }
-
-    #[test]
     fn mmap_ranges_match_buffered_ranges_both_formats() {
         let es = edges(6_000);
         let p1 = tmpfile("mm", "bel");
@@ -829,14 +579,19 @@ mod tests {
     #[test]
     fn backend_dispatch_opens_all_three() {
         let es = edges(500);
-        let path = tmpfile("dispatch", "bel");
-        write_binary_edge_list(&path, 4096, es.iter().copied()).unwrap();
-        for backend in crate::ReaderBackend::ALL {
-            let src = open_ranged_backend(&path, backend).unwrap();
-            let mut s = src.open_range(100, 200).unwrap();
-            assert_eq!(collect(&mut *s), &es[100..200], "{backend:?}");
+        let p1 = tmpfile("dispatch", "bel");
+        let p2 = tmpfile("dispatch", "bel2");
+        write_binary_edge_list(&p1, 4096, es.iter().copied()).unwrap();
+        crate::v2::write_v2_edge_list(&p2, 4096, es.iter().copied(), 64).unwrap();
+        for path in [&p1, &p2] {
+            for reader in ReaderKind::ALL {
+                let src = open_ranged_backend(path, reader).unwrap();
+                let mut s = src.open_range(100, 200).unwrap();
+                assert_eq!(collect(&mut *s), &es[100..200], "{reader:?} on {path:?}");
+            }
         }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&p1).ok();
+        std::fs::remove_file(&p2).ok();
     }
 
     #[test]

@@ -276,7 +276,7 @@ fn replication_barrier_spans_multiple_chunks_bit_identically() {
 }
 
 #[test]
-fn dist_handles_the_prefetch_and_mmap_backends_too() {
+fn dist_handles_every_reader_backend() {
     let g = tps_graph::datasets::Dataset::Ok.generate_scaled(0.01);
     let dir = std::env::temp_dir().join(format!("tps-dist-backends-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -288,7 +288,7 @@ fn dist_handles_the_prefetch_and_mmap_backends_too() {
     )
     .unwrap();
     let want = parallel_reference(&g, 8, 3);
-    for backend in tps_io::ReaderBackend::ALL {
+    for backend in tps_core::job::ReaderKind::ALL {
         let source = tps_io::open_ranged_backend(&v1_path, backend).unwrap();
         let (out, _) = dist_traced(&*source, 8, 3, Wire::Loopback);
         assert_eq!(out, want, "{backend:?}");

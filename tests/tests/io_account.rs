@@ -1,7 +1,7 @@
 //! `DeviceStream` I/O accounting over `tps-io` reader backends.
 //!
 //! The virtual-clock accounting must be backend-independent for v1 streams:
-//! buffered, mmap and prefetch readers all observe the same logical edge
+//! buffered and mmap readers both observe the same logical edge
 //! sequence, so wrapping any of them in a `DeviceStream` must charge the
 //! same pass count and the same bytes. For the compressed v2 format the
 //! charge is scaled with `with_record_bytes` to the file's true on-disk
@@ -9,13 +9,14 @@
 
 use std::path::PathBuf;
 
+use tps_core::job::ReaderKind;
 use tps_core::partitioner::{PartitionParams, Partitioner};
 use tps_core::sink::NullSink;
 use tps_core::two_phase::{TwoPhaseConfig, TwoPhasePartitioner};
 use tps_graph::datasets::Dataset;
 use tps_graph::formats::binary::write_binary_edge_list;
 use tps_graph::stream::for_each_edge;
-use tps_io::{open_edge_stream, ReaderBackend, V2EdgeFile};
+use tps_io::{open_edge_stream, V2EdgeFile};
 use tps_storage::{DeviceModel, DeviceStream, IoAccount};
 
 fn materialize(tag: &str) -> (PathBuf, u64) {
@@ -27,7 +28,7 @@ fn materialize(tag: &str) -> (PathBuf, u64) {
 
 /// Run a full 2PS-L partition (3 + 1 passes) over `path` with the given
 /// backend, wrapped in an SSD device model, and return the account.
-fn run_accounted(path: &PathBuf, backend: ReaderBackend) -> IoAccount {
+fn run_accounted(path: &PathBuf, backend: ReaderKind) -> IoAccount {
     let stream = open_edge_stream(path, backend).unwrap();
     let mut device = DeviceStream::new(stream, DeviceModel::ssd());
     let mut p = TwoPhasePartitioner::new(TwoPhaseConfig::default());
@@ -39,19 +40,14 @@ fn run_accounted(path: &PathBuf, backend: ReaderBackend) -> IoAccount {
 #[test]
 fn accounting_is_identical_across_v1_backends() {
     let (path, num_edges) = materialize("backends");
-    let buffered = run_accounted(&path, ReaderBackend::Buffered);
-    let mmap = run_accounted(&path, ReaderBackend::Mmap);
-    let prefetch = run_accounted(&path, ReaderBackend::Prefetch);
+    let buffered = run_accounted(&path, ReaderKind::Buffered);
+    let mmap = run_accounted(&path, ReaderKind::Mmap);
 
     // 2PS-L with one clustering pass: degree + clustering + pre-partition +
     // partition = 4 full passes, 8 bytes per edge, on every backend.
     assert_eq!(buffered.passes, 4);
     assert_eq!(buffered.bytes, 4 * num_edges * 8);
     assert_eq!(buffered, mmap, "mmap accounting diverged from buffered");
-    assert_eq!(
-        buffered, prefetch,
-        "prefetch accounting diverged from buffered"
-    );
 }
 
 #[test]
@@ -87,7 +83,7 @@ fn v2_record_bytes_charge_the_compressed_size() {
 fn empty_pass_costs_nothing_on_any_backend() {
     let path = std::env::temp_dir().join(format!("tps-ioacct-empty-{}.bel", std::process::id()));
     write_binary_edge_list(&path, 0, std::iter::empty()).unwrap();
-    for backend in ReaderBackend::ALL {
+    for backend in ReaderKind::ALL {
         let stream = open_edge_stream(&path, backend).unwrap();
         let mut device = DeviceStream::new(stream, DeviceModel::hdd());
         for_each_edge(&mut device, |_| {}).unwrap();

@@ -9,8 +9,8 @@
 //!   the degenerate tiny-graph regime, where `|E|` ≲ `k × threads`);
 //! * replication factor within a fixed epsilon of the serial runner on
 //!   generated R-MAT graphs;
-//! * storage-backend independence — in-memory, v1, v2 and prefetch-wrapped
-//!   sources produce identical parallel assignments.
+//! * storage-backend independence — in-memory, v1 and v2 sources, buffered
+//!   or memory-mapped, produce identical parallel assignments.
 
 use proptest::prelude::*;
 use tps_clustering::merge::merge_clusterings;
@@ -295,17 +295,17 @@ fn parallel_result_is_independent_of_the_storage_backend() {
     assert_eq!(parallel_assignments(&v1, k, threads), reference, "v1 file");
     assert_eq!(parallel_assignments(&v2, k, threads), reference, "v2 file");
 
-    let v1_pf = tps_io::RangedPrefetchSource::new(tps_io::RangedV1File::open(&v1_path).unwrap());
-    let v2_pf = tps_io::RangedPrefetchSource::new(tps_io::RangedV2File::open(&v2_path).unwrap());
+    let v1_mm = tps_io::RangedMmapV1File::open(&v1_path).unwrap();
+    let v2_mm = tps_io::RangedMmapV2File::open(&v2_path).unwrap();
     assert_eq!(
-        parallel_assignments(&v1_pf, k, threads),
+        parallel_assignments(&v1_mm, k, threads),
         reference,
-        "v1 + prefetch"
+        "v1 + mmap"
     );
     assert_eq!(
-        parallel_assignments(&v2_pf, k, threads),
+        parallel_assignments(&v2_mm, k, threads),
         reference,
-        "v2 + prefetch"
+        "v2 + mmap"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
